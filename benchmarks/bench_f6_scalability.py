@@ -13,8 +13,7 @@ import time
 
 import pytest
 
-from repro import Environment, Job, OffloadController
-from repro.apps import linear_pipeline_app, photo_backup_app
+from repro.apps import linear_pipeline_app
 from repro.core.partitioning import (
     ExhaustivePartitioner,
     GreedyPartitioner,
@@ -23,6 +22,7 @@ from repro.core.partitioning import (
     PartitionContext,
 )
 from repro.metrics import Table
+from repro.run import RunSpec, assemble
 from repro.sim.rng import RngStream
 
 from _common import emit, sweep_rows
@@ -34,21 +34,13 @@ SEED = 99
 
 def jobs_cell(config):
     """Sweep cell: simulate one job-count through the full controller."""
-    n_jobs = config["jobs"]
-    env = Environment.build(seed=SEED, connectivity="4g")
-    controller = OffloadController(env, photo_backup_app())
-    controller.profile_offline()
-    controller.plan(input_mb=3.0)
-    jobs = [
-        Job(controller.app, input_mb=3.0, released_at=5.0 * i,
-            deadline=5.0 * i + 36_000.0)
-        for i in range(n_jobs)
-    ]
+    run = assemble(RunSpec(seed=SEED, input_mb=3.0, jobs=config["jobs"],
+                           spacing_s=5.0, slack_s=36_000.0))
     started = time.perf_counter()
-    report = controller.run_workload(jobs)
+    report = run.execute()
     wall_ms = (time.perf_counter() - started) * 1000
     return {
-        "sim_events": env.sim.events_processed,
+        "sim_events": run.env.sim.events_processed,
         "wall_ms": wall_ms,
         "completed": report.jobs_completed,
         "all_met": report.deadline_miss_rate == 0.0,

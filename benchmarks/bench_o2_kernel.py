@@ -19,7 +19,7 @@ The emitted ``BENCH_O2.json`` carries the frozen pre-PR kernel numbers
 (measured on the machine that landed the fast lane) purely as the
 speedup provenance; the CI regression gate instead compares a fresh run
 against the *committed* ``benchmarks/BENCH_O2.json`` via
-``tools/check_bench_o2.py`` (>20% events/sec drop fails).
+``tools/check_bench.py --bench O2`` (>20% events/sec drop fails).
 
 Wall-clock columns are non-deterministic (like O1 and F6); every event
 count in the table regenerates bit-identically.
@@ -144,23 +144,15 @@ def _link_transfers(n: int) -> float:
 
 def _f6_end_to_end(n_jobs: int):
     """The F6a jobs cell: full controller workload, measured wall."""
-    from repro import Environment, Job, OffloadController
-    from repro.apps import photo_backup_app
+    from repro.run import RunSpec, assemble
 
-    env = Environment.build(seed=99, connectivity="4g")
-    controller = OffloadController(env, photo_backup_app())
-    controller.profile_offline()
-    controller.plan(input_mb=3.0)
-    jobs = [
-        Job(controller.app, input_mb=3.0, released_at=5.0 * i,
-            deadline=5.0 * i + 36_000.0)
-        for i in range(n_jobs)
-    ]
+    run = assemble(RunSpec(seed=99, input_mb=3.0, jobs=n_jobs,
+                           spacing_s=5.0, slack_s=36_000.0))
     started = perf_counter()
-    report = controller.run_workload(jobs)
+    report = run.execute()
     elapsed = perf_counter() - started
     assert report.jobs_completed == n_jobs
-    return elapsed, env.sim.events_processed
+    return elapsed, run.env.sim.events_processed
 
 
 OPS = {

@@ -20,11 +20,9 @@ the simulator stays reproducible.
 
 import pytest
 
-from repro.apps import Job, photo_backup_app
-from repro.core.controller import Environment, OffloadController
-from repro.faults import DegradationPolicy, FaultSchedule, inject_faults
+from repro.faults import FaultSchedule
 from repro.metrics import Table, stable_digest
-from repro.serverless import RetryPolicy
+from repro.run import RunSpec, assemble
 from repro.sim.rng import RngStream
 
 from _common import emit, sweep_rows, write_bench_summary
@@ -40,23 +38,18 @@ DEADLINE_SLACK_S = 500.0
 # in flight instead of empty air after the last job finishes.
 HORIZON_S = 750.0
 
+RETRY = {"max_attempts": 3, "base_delay_s": 1.0, "multiplier": 2.0}
 CONTROLLERS = {
-    "naive": dict(
-        retry_policy=RetryPolicy(max_attempts=1, base_delay_s=1.0),
-        degradation=None,
-    ),
-    "retry": dict(
-        retry_policy=RetryPolicy(max_attempts=3, base_delay_s=1.0, multiplier=2.0),
-        degradation=None,
-    ),
+    "naive": dict(retry={"max_attempts": 1, "base_delay_s": 1.0}),
+    "retry": dict(retry=RETRY),
     "degrade": dict(
-        retry_policy=RetryPolicy(max_attempts=3, base_delay_s=1.0, multiplier=2.0),
-        degradation=DegradationPolicy(
-            outage_aware_backoff=True,
-            hedge_after_s=60.0,
-            fallback_local=True,
-            fallback_slack_fraction=0.5,
-        ),
+        retry=RETRY,
+        degradation={
+            "outage_aware_backoff": True,
+            "hedge_after_s": 60.0,
+            "fallback_local": True,
+            "fallback_slack_fraction": 0.5,
+        },
     ),
 }
 
@@ -69,26 +62,20 @@ def chaos_schedule(intensity: float) -> FaultSchedule:
 
 
 def run_cell(name: str, schedule: FaultSchedule):
-    env = Environment.build_custom(
-        seed=SEED, uplink_bandwidth=2.0e6, access_latency_s=0.030
-    )
-    if schedule:
-        inject_faults(env, schedule)
-    controller = OffloadController(env, photo_backup_app(), **CONTROLLERS[name])
-    controller.profile_offline()
-    controller.plan(input_mb=INPUT_MB)
-    jobs = [
-        Job(
-            controller.app,
-            input_mb=INPUT_MB,
-            released_at=RELEASE_SPACING_S * i,
-            deadline=RELEASE_SPACING_S * i + DEADLINE_SLACK_S,
-            job_id=5000 + i,
-        )
-        for i in range(N_JOBS)
-    ]
-    report = controller.run_workload(jobs)
-    snap = env.metrics.snapshot()
+    run = assemble(RunSpec(
+        seed=SEED,
+        links={"uplink_bandwidth": 2.0e6, "access_latency_s": 0.030},
+        input_mb=INPUT_MB,
+        jobs=N_JOBS,
+        spacing_s=RELEASE_SPACING_S,
+        slack_s=DEADLINE_SLACK_S,
+        first_job_id=5000,
+        faults=schedule,
+        **CONTROLLERS[name],
+    ))
+    report = run.execute()
+    controller = run.controller
+    snap = run.env.metrics.snapshot()
     missed = sum(1 for r in report.results if not r.met_deadline)
     missed += len(report.failures)  # a lost job is the worst kind of miss
     responses = [r.finished_at - r.job.released_at for r in report.results]

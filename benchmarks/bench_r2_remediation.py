@@ -21,21 +21,11 @@ loop is bit-reproducible, action log included.
 
 import pytest
 
-from repro.apps import Job, photo_backup_app
-from repro.core.controller import Environment, OffloadController
-from repro.faults import DegradationPolicy, FaultSchedule, inject_faults
+from repro.faults import FaultSchedule
 from repro.metrics import Table, stable_digest
-from repro.monitor.fleet import (
-    FLEET_RULES,
-    default_fleet_rule_overrides,
-    live_fleet_slos,
-)
-from repro.monitor.monitor import KIND_ZONE, attach_monitor
-from repro.monitor.slo import SLOEngine
-from repro.remediate import attach_remediation
-from repro.serverless import RetryPolicy
+from repro.monitor.monitor import KIND_ZONE
+from repro.run import REMEDIATION_DEGRADATION, RunSpec, assemble
 from repro.sim.rng import RngStream
-from repro.telemetry import attach_tracer
 
 from _common import (
     MetricSpec,
@@ -52,12 +42,14 @@ SHORT = os.environ.get("REPRO_BENCH_SHORT", "") not in ("", "0")
 SEED = 171
 INTENSITIES = [0.0, 1.0] if SHORT else [0.0, 0.3, 0.6, 1.0]
 MODES = ["naive", "alert-only", "remediated"]
+#: The observability plane of each mode; every mode records a trace and
+#: monitors the zone, so measurement is uniform.
+PLANES = {"naive": "monitor", "alert-only": "alerts", "remediated": "remediate"}
 N_JOBS = 12
 INPUT_MB = 3.0
 RELEASE_SPACING_S = 60.0
 DEADLINE_SLACK_S = 500.0
 HORIZON_S = 750.0
-EVAL_INTERVAL_S = 30.0
 
 
 def chaos_schedule(intensity: float) -> FaultSchedule:
@@ -68,70 +60,23 @@ def chaos_schedule(intensity: float) -> FaultSchedule:
 
 
 def run_cell(mode: str, schedule: FaultSchedule):
-    env = Environment.build_custom(
-        seed=SEED, uplink_bandwidth=2.0e6, access_latency_s=0.030
-    )
-    attach_tracer(env)  # all modes record, so measurement is uniform
-    if schedule:
-        inject_faults(env, schedule)
-    degradation = (
-        None
-        if mode == "naive"
-        else DegradationPolicy(
-            outage_aware_backoff=True,
-            hedge_after_s=None,  # remediation escalates this on burn
-            fallback_local=True,
-        )
-    )
-    controller = OffloadController(
-        env,
-        photo_backup_app(),
-        retry_policy=RetryPolicy(
-            max_attempts=3, base_delay_s=1.0, multiplier=2.0
-        ),
-        degradation=degradation,
-    )
-    controller.profile_offline()
-    controller.plan(input_mb=INPUT_MB)
-
-    engine = None
-    remediation = None
-    if mode == "remediated":
-        plane = attach_remediation(
-            env, [controller], eval_interval_s=EVAL_INTERVAL_S
-        )
-        monitor, engine, remediation = (
-            plane.monitor, plane.engine, plane.remediation
-        )
-    else:
-        monitor = attach_monitor(env)
-        if mode == "alert-only":
-            slos = live_fleet_slos("faas")
-            engine = SLOEngine(
-                monitor,
-                slos,
-                rules=FLEET_RULES,
-                eval_interval_s=EVAL_INTERVAL_S,
-                rule_overrides=default_fleet_rule_overrides(slos),
-            )
-            engine.attach(env.sim)
-
-    jobs = [
-        Job(
-            controller.app,
-            input_mb=INPUT_MB,
-            released_at=RELEASE_SPACING_S * i,
-            deadline=RELEASE_SPACING_S * i + DEADLINE_SLACK_S,
-            job_id=5000 + i,
-        )
-        for i in range(N_JOBS)
-    ]
-    report = controller.run_workload(jobs)
-    end = float(env.sim.now)
-    if engine is not None:
-        engine.finalize(end)
-
-    wasted = monitor.aggregate(
+    run = assemble(RunSpec(
+        seed=SEED,
+        links={"uplink_bandwidth": 2.0e6, "access_latency_s": 0.030},
+        input_mb=INPUT_MB,
+        jobs=N_JOBS,
+        spacing_s=RELEASE_SPACING_S,
+        slack_s=DEADLINE_SLACK_S,
+        first_job_id=5000,
+        # hedging starts disabled; remediation escalates it on burn
+        degradation=None if mode == "naive" else REMEDIATION_DEGRADATION,
+        faults=schedule,
+        plane=PLANES[mode],
+    ))
+    report = run.execute()
+    end = float(run.env.sim.now)
+    engine, remediation = run.engine, run.remediation
+    wasted = run.monitor.aggregate(
         KIND_ZONE, "faas", "wasted", end, max(end, 1.0)
     ).extras.get("wasted_usd", 0.0)
     missed = sum(1 for r in report.results if not r.met_deadline)
@@ -156,7 +101,7 @@ def run_cell(mode: str, schedule: FaultSchedule):
         "action_log": (
             remediation.action_log() if remediation is not None else ""
         ),
-        "digest": stable_digest(env.metrics.snapshot()),
+        "digest": stable_digest(run.env.metrics.snapshot()),
     }
 
 

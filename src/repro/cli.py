@@ -31,56 +31,39 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.apps.catalog import CATALOG
-from repro.core.controller import Environment, OffloadController
-from repro.core.partitioning import ObjectiveWeights
-from repro.core.scheduler import (
-    CostWindowScheduler,
-    DeadlineBatcher,
-    EagerScheduler,
-    EdfScheduler,
-    Scheduler,
-)
-from repro.apps.jobs import Job
 from repro.metrics import Table
 from repro.network.profiles import CONNECTIVITY_PROFILES
+from repro.run import SCHEDULERS, WEIGHTS, RunSpec, assemble
 
 
-def _resolve_app(name: str):
-    if name not in CATALOG:
-        raise SystemExit(
-            f"unknown app {name!r}; choose from {sorted(CATALOG)}"
-        )
-    return CATALOG[name]()
+def _usage(build, *args):
+    """``build(*args)``, turning bad input (a ``ValueError``, or an
+    unreadable file) into one stderr line and exit status 2.  The exit
+    keeps the message as its text for in-process callers."""
+    try:
+        return build(*args)
+    except (OSError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        exit_ = SystemExit(str(error))
+        exit_.code = 2
+        raise exit_ from None
 
 
-def _resolve_weights(preset: str) -> ObjectiveWeights:
-    presets = {
-        "balanced": ObjectiveWeights(),
-        "interactive": ObjectiveWeights.interactive(),
-        "non-time-critical": ObjectiveWeights.non_time_critical(),
-    }
-    if preset not in presets:
-        raise SystemExit(
-            f"unknown weights preset {preset!r}; choose from {sorted(presets)}"
-        )
-    return presets[preset]
-
-
-def _resolve_scheduler(name: str, window_s: float) -> Scheduler:
-    if name == "eager":
-        return EagerScheduler()
-    if name == "edf":
-        return EdfScheduler()
-    if name == "batcher":
-        return DeadlineBatcher(window_s=window_s)
-    if name == "costwindow":
-        # A generic diurnal congestion price anchored at t=0.
-        price = lambda t: 1.0 + 0.8 * math.sin(2 * math.pi * t / 86_400.0)
-        return CostWindowScheduler(price, resolution_s=max(window_s, 60.0))
-    raise SystemExit(
-        f"unknown scheduler {name!r}; choose from "
-        "['eager', 'edf', 'batcher', 'costwindow']"
+def _run_spec(args: argparse.Namespace) -> RunSpec:
+    """The validated :class:`RunSpec` behind a ``common()`` command."""
+    fields = dict(
+        app=args.app, seed=args.seed, connectivity=args.connectivity,
+        input_mb=args.input_mb, weights=args.weights,
     )
+    if args.command == "run":
+        fields.update(
+            jobs=args.jobs, spacing_s=args.spacing, slack_s=args.slack,
+            scheduler=args.scheduler, window_s=args.window,
+            with_storage=args.with_storage, workload=args.workload,
+            trace=bool(args.trace),
+            plane="remediate" if args.remediate else "none",
+        )
+    return _usage(lambda: RunSpec(**fields))
 
 
 def _ledger_record(
@@ -189,47 +172,8 @@ def cmd_list_profiles(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_controller(args: argparse.Namespace) -> OffloadController:
-    env = Environment.build(
-        seed=args.seed,
-        connectivity=args.connectivity,
-        with_storage=getattr(args, "with_storage", False),
-    )
-    remediate = bool(getattr(args, "remediate", False))
-    if getattr(args, "trace", None) or remediate:
-        # Attach before planning so the plan span is captured too (the
-        # remediation monitor needs a recording tracer either way).
-        from repro.telemetry import attach_tracer
-
-        attach_tracer(env)
-    degradation = None
-    if remediate:
-        # Remediation drives the degradation knobs, so the controller
-        # needs the policy object to act on; hedging starts disabled and
-        # is escalated by the engine on availability burn.
-        from repro.faults.policy import DegradationPolicy
-
-        degradation = DegradationPolicy(
-            outage_aware_backoff=True,
-            hedge_after_s=None,
-            fallback_local=True,
-        )
-    controller = OffloadController(
-        env,
-        _resolve_app(args.app),
-        scheduler=_resolve_scheduler(
-            getattr(args, "scheduler", "eager"), getattr(args, "window", 300.0)
-        ),
-        weights=_resolve_weights(args.weights),
-        degradation=degradation,
-    )
-    controller.profile_offline()
-    controller.plan(input_mb=args.input_mb)
-    return controller
-
-
 def cmd_plan(args: argparse.Namespace) -> int:
-    controller = _build_controller(args)
+    controller = assemble(_run_spec(args)).controller
     partition = controller.partition
     assert partition is not None
     print(f"app: {args.app}   connectivity: {args.connectivity}   "
@@ -260,75 +204,30 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.actions_out and not args.remediate:
         raise SystemExit("--actions-out requires --remediate")
     started = time.perf_counter()
-    config = {
-        "app": args.app,
-        "connectivity": args.connectivity,
-        "input_mb": args.input_mb,
-        "jobs": args.jobs,
-        "remediate": bool(args.remediate),
-        "scheduler": args.scheduler,
-        "seed": args.seed,
-        "slack": args.slack,
-        "spacing": args.spacing,
-        "weights": args.weights,
-        "window": args.window,
-        "with_storage": bool(args.with_storage),
-        "workload": args.workload,
-    }
+    spec = _run_spec(args)
+    config = spec.to_dict()
     with _ledger_guard(args, "run", config, started):
-        return _cmd_run_body(args, config, started)
+        return _cmd_run_body(args, spec, config, started)
 
 
-def _cmd_run_body(args: argparse.Namespace, config, started) -> int:
+def _cmd_run_body(args: argparse.Namespace, spec, config, started) -> int:
     import time
 
-    controller = _build_controller(args)
-    plane = None
-    if args.remediate:
-        from repro.remediate import attach_remediation
-
-        plane = attach_remediation(controller.env, [controller])
-    if args.workload:
-        from repro.traces.replay import load_workload
-
-        jobs = load_workload(
-            args.workload, lambda name: _resolve_app(name)
-        )
-        jobs = [job for job in jobs if job.app.name == args.app]
-        if not jobs:
-            raise SystemExit(
-                f"trace {args.workload!r} has no jobs for app {args.app!r}"
-            )
-        # Rebind to the controller's graph instance.
-        jobs = [
-            Job(controller.app, input_mb=j.input_mb,
-                released_at=j.released_at, deadline=j.deadline)
-            for j in jobs
-        ]
-    else:
-        jobs = [
-            Job(
-                controller.app,
-                input_mb=args.input_mb,
-                released_at=args.spacing * i,
-                deadline=args.spacing * i + args.slack,
-            )
-            for i in range(args.jobs)
-        ]
-    report = controller.run_workload(jobs)
-    if plane is not None:
-        plane.engine.finalize(float(controller.env.sim.now))
+    # A --workload trace that is unreadable or has no matching jobs is
+    # bad input too.
+    run = _usage(assemble, spec)
+    report = run.execute()
     if args.trace:
         from repro.telemetry import write_chrome_trace
 
         write_chrome_trace(
             args.trace,
-            controller.env.sim.tracer,
+            run.tracer,
             metadata={
                 "app": args.app,
                 "connectivity": args.connectivity,
                 "input_mb": args.input_mb,
-                "jobs": len(jobs),
+                "jobs": len(run.jobs),
                 "seed": args.seed,
             },
         )
@@ -348,29 +247,28 @@ def _cmd_run_body(args: argparse.Namespace, config, started) -> int:
     table.add_row("cloud cost $", report.total_cloud_cost_usd)
     table.add_row(
         "cold-start %",
-        100 * controller.env.platform.cold_start_fraction(),
+        100 * run.env.platform.cold_start_fraction(),
     )
-    sim_meter = controller.env.sim.meter
+    sim_meter = run.env.sim.meter
     table.add_row("sim events", sim_meter.events_dispatched)
     table.add_row("fast-lane events", sim_meter.fast_lane_hits)
     table.add_row("plans computed", sim_meter.plans_computed)
-    if plane is not None:
-        table.add_row("alerts fired", len(plane.engine.alerts))
-        table.add_row("actions applied", len(plane.remediation.actions))
+    remediation = run.remediation
+    if remediation is not None:
+        table.add_row("alerts fired", len(run.engine.alerts))
+        table.add_row("actions applied", len(remediation.actions))
     print(table)
-    if plane is not None:
-        if plane.remediation.log:
+    if remediation is not None:
+        if remediation.log:
             print("action log:")
-            for line in plane.remediation.log:
+            for line in remediation.log:
                 print(f"  {line}")
         else:
             print("action log: empty (no remediation action applied)")
         if args.actions_out:
             from pathlib import Path
 
-            Path(args.actions_out).write_text(
-                plane.remediation.action_log()
-            )
+            Path(args.actions_out).write_text(remediation.action_log())
             print(f"action log written to {args.actions_out}")
     metrics = {
         "deadline_miss_rate": report.deadline_miss_rate,
@@ -379,9 +277,9 @@ def _cmd_run_body(args: argparse.Namespace, config, started) -> int:
         "mean_response_s": report.mean_response_s,
         "total_cloud_cost_usd": report.total_cloud_cost_usd,
     }
-    if plane is not None:
-        metrics["actions_applied"] = len(plane.remediation.actions)
-        metrics["alerts_fired"] = len(plane.engine.alerts)
+    if remediation is not None:
+        metrics["actions_applied"] = len(remediation.actions)
+        metrics["alerts_fired"] = len(run.engine.alerts)
     _ledger_record(
         args,
         command="run",
@@ -549,8 +447,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analysis import crossover_bandwidth, edge_breakeven_rate
     from repro.apps.lint import lint_app
 
-    app = _resolve_app(args.app)
-    weights = _resolve_weights(args.weights)
+    spec = _run_spec(args)
+    app, weights = CATALOG[spec.app](), WEIGHTS[spec.weights]()
     print(f"Analysis of {args.app!r} at {args.input_mb} MB inputs "
           f"({args.weights} weights)\n")
 
@@ -930,15 +828,16 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     from repro.cicd import SourceRepository
+    from repro.core.controller import Environment
     from repro.core.pipeline import OffloadPipeline, PipelineConfig
 
-    env = Environment.build(seed=args.seed, connectivity=args.connectivity)
-    app = _resolve_app(args.app)
-    repo = SourceRepository(args.app, app)
+    spec = _run_spec(args)
+    env = Environment.build(seed=spec.seed, connectivity=spec.connectivity)
+    repo = SourceRepository(spec.app, CATALOG[spec.app]())
     pipeline = OffloadPipeline(
         env,
         repo,
-        weights=_resolve_weights(args.weights),
+        weights=WEIGHTS[spec.weights](),
         config=PipelineConfig(canary_jobs=args.canary_jobs),
     )
     run = pipeline.run_to_completion()
@@ -1099,7 +998,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=sorted(CONNECTIVITY_PROFILES))
         p.add_argument("--input-mb", type=float, default=4.0)
         p.add_argument("--weights", default="non-time-critical",
-                       help="balanced | interactive | non-time-critical")
+                       help=" | ".join(WEIGHTS))
 
     plan = sub.add_parser("plan", help="compute partition + allocation")
     common(plan)
@@ -1121,7 +1020,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--slack", type=float, default=3600.0,
                      help="seconds from release to deadline")
     run.add_argument("--scheduler", default="eager",
-                     choices=["eager", "edf", "batcher", "costwindow"])
+                     choices=list(SCHEDULERS))
     run.add_argument("--window", type=float, default=300.0,
                      help="batcher window / costwindow resolution (s)")
     run.add_argument("--with-storage", action="store_true",

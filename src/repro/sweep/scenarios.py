@@ -26,72 +26,17 @@ def _finite(value: float) -> Any:
 def offload_run(config: Dict[str, Any]) -> Dict[str, Any]:
     """One end-to-end controller workload run (the default CLI scenario).
 
-    Config keys (all optional): ``app``, ``seed``, ``connectivity``,
-    ``input_mb``, ``jobs``, ``spacing_s``, ``slack_s``, ``scheduler``
-    (``eager`` | ``edf`` | ``batcher``), ``window_s``, ``weights``
-    (``balanced`` | ``interactive`` | ``non-time-critical``).
+    ``config`` is a :class:`~repro.run.RunSpec` document; every key is
+    optional (``app``, ``seed``, ``connectivity``, ``input_mb``, ``jobs``,
+    ``spacing_s``, ``slack_s``, ``scheduler``, ``window_s``, ``weights``,
+    …) and an unknown key raises ``ValueError``.
     """
-    from repro.apps.catalog import CATALOG
-    from repro.core.controller import Environment, OffloadController
-    from repro.core.partitioning import ObjectiveWeights
-    from repro.core.scheduler import DeadlineBatcher, EagerScheduler, EdfScheduler
-    from repro.apps.jobs import Job
+    from repro.run import RunSpec, assemble
 
-    app_name = config.get("app", "photo_backup")
-    if app_name not in CATALOG:
-        raise ValueError(f"unknown app {app_name!r}; choose from {sorted(CATALOG)}")
-    seed = int(config.get("seed", 0))
-    input_mb = float(config.get("input_mb", 4.0))
-    n_jobs = int(config.get("jobs", 5))
-    spacing_s = float(config.get("spacing_s", 60.0))
-    slack_s = float(config.get("slack_s", 3600.0))
-
-    schedulers = {
-        "eager": EagerScheduler,
-        "edf": EdfScheduler,
-        "batcher": lambda: DeadlineBatcher(
-            window_s=float(config.get("window_s", 300.0))
-        ),
-    }
-    scheduler_name = config.get("scheduler", "eager")
-    if scheduler_name not in schedulers:
-        raise ValueError(
-            f"unknown scheduler {scheduler_name!r}; "
-            f"choose from {sorted(schedulers)}"
-        )
-    weights = {
-        "balanced": ObjectiveWeights,
-        "interactive": ObjectiveWeights.interactive,
-        "non-time-critical": ObjectiveWeights.non_time_critical,
-    }
-    weights_name = config.get("weights", "non-time-critical")
-    if weights_name not in weights:
-        raise ValueError(
-            f"unknown weights {weights_name!r}; choose from {sorted(weights)}"
-        )
-
-    env = Environment.build(
-        seed=seed, connectivity=config.get("connectivity", "4g")
-    )
-    controller = OffloadController(
-        env,
-        CATALOG[app_name](),
-        scheduler=schedulers[scheduler_name](),
-        weights=weights[weights_name](),
-    )
-    controller.profile_offline()
-    controller.plan(input_mb=input_mb)
-    jobs = [
-        Job(
-            controller.app,
-            input_mb=input_mb,
-            released_at=spacing_s * i,
-            deadline=spacing_s * i + slack_s,
-        )
-        for i in range(n_jobs)
-    ]
-    report = controller.run_workload(jobs)
-    assert controller.partition is not None
+    run = assemble(RunSpec.from_dict(config))
+    report = run.execute()
+    env, partition = run.env, run.controller.partition
+    assert partition is not None
     return {
         "jobs_completed": report.jobs_completed,
         "failures": len(report.failures),
@@ -101,7 +46,7 @@ def offload_run(config: Dict[str, Any]) -> Dict[str, Any]:
         "ue_energy_j": report.total_ue_energy_j,
         "cloud_cost_usd": report.total_cloud_cost_usd,
         "cold_start_fraction": env.platform.cold_start_fraction(),
-        "cloud_components": sorted(controller.partition.cloud),
+        "cloud_components": sorted(partition.cloud),
         "sim_events": env.sim.events_processed,
         "sim_end_s": env.sim.now,
     }

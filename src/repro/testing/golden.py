@@ -19,17 +19,8 @@ from __future__ import annotations
 import hashlib
 from typing import List
 
-from repro.apps.catalog import photo_backup_app
-from repro.apps.jobs import Job
-from repro.core.controller import Environment, OffloadController
-from repro.faults import (
-    DegradationPolicy,
-    FaultKind,
-    FaultSchedule,
-    FaultWindow,
-    inject_faults,
-)
-from repro.serverless.retry import RetryPolicy
+from repro.faults import FaultKind, FaultSchedule, FaultWindow
+from repro.run import RunSpec, assemble
 
 #: Root seed of the golden scenario; never change it casually — every
 #: fixture line depends on it.
@@ -37,11 +28,6 @@ GOLDEN_SEED = 20260805
 
 #: Bump when the *trace format* changes (not when traced values change).
 TRACE_SCHEMA = 1
-
-_N_JOBS = 4
-_INPUT_MB = 3.0
-_RELEASE_SPACING_S = 90.0
-_DEADLINE_SLACK_S = 600.0
 
 
 def golden_fault_schedule() -> FaultSchedule:
@@ -73,53 +59,33 @@ def golden_fault_schedule() -> FaultSchedule:
     )
 
 
-def _build_golden_env(seed: int, with_faults: bool, traced: bool):
-    """The pinned environment (and optional tracer) every variant shares."""
-    env = Environment.build_custom(
+def golden_run_spec(
+    seed: int = GOLDEN_SEED, faults=(), trace: bool = False
+) -> RunSpec:
+    """The pinned workload every variant shares."""
+    return RunSpec(
         seed=seed,
-        uplink_bandwidth=2.0e6,
-        access_latency_s=0.030,
-        wan_latency_s=0.045,
+        links={
+            "uplink_bandwidth": 2.0e6,
+            "access_latency_s": 0.030,
+            "wan_latency_s": 0.045,
+        },
+        input_mb=3.0,
+        jobs=4,
+        spacing_s=90.0,
+        slack_s=600.0,
+        # Explicit job ids keep the trace independent of the process-global
+        # job counter (i.e. of whatever ran earlier in the same interpreter).
+        first_job_id=1000,
+        degradation={
+            "outage_aware_backoff": True,
+            "hedge_after_s": 90.0,
+            "fallback_local": True,
+            "fallback_slack_fraction": 0.5,
+        },
+        faults=faults,
+        trace=trace,
     )
-    tracer = None
-    if traced:
-        from repro.telemetry import attach_tracer
-
-        # Before fault injection, so window annotations are captured.
-        tracer = attach_tracer(env)
-    if with_faults:
-        inject_faults(env, golden_fault_schedule())
-    return env, tracer
-
-
-def _run_golden_workload(env):
-    """Plan and run the pinned workload on ``env``; returns the report."""
-    controller = OffloadController(
-        env,
-        photo_backup_app(),
-        retry_policy=RetryPolicy(max_attempts=3, base_delay_s=1.0, multiplier=2.0),
-        degradation=DegradationPolicy(
-            outage_aware_backoff=True,
-            hedge_after_s=90.0,
-            fallback_local=True,
-            fallback_slack_fraction=0.5,
-        ),
-    )
-    controller.profile_offline()
-    controller.plan(input_mb=_INPUT_MB)
-    # Explicit job ids keep the trace independent of the process-global
-    # job counter (i.e. of whatever ran earlier in the same interpreter).
-    jobs = [
-        Job(
-            controller.app,
-            input_mb=_INPUT_MB,
-            released_at=_RELEASE_SPACING_S * i,
-            deadline=_RELEASE_SPACING_S * i + _DEADLINE_SLACK_S,
-            job_id=1000 + i,
-        )
-        for i in range(_N_JOBS)
-    ]
-    return controller.run_workload(jobs)
 
 
 def run_golden_scenario(
@@ -134,8 +100,10 @@ def run_golden_scenario(
     The simulation itself must be unaffected: the standard lines of a
     traced run stay byte-identical to the untraced variant.
     """
-    env, tracer = _build_golden_env(seed, with_faults, traced)
-    report = _run_golden_workload(env)
+    faults = golden_fault_schedule() if with_faults else ()
+    run = assemble(golden_run_spec(seed, faults, trace=traced))
+    report = run.execute()
+    env, tracer = run.env, run.tracer
 
     lines: List[str] = [
         f"schema={TRACE_SCHEMA} seed={seed} faults={with_faults}",
@@ -287,9 +255,11 @@ def run_monitored_scenario(with_faults: bool, seed: int = GOLDEN_SEED):
     """
     from repro.monitor import attach_monitoring
 
-    env, tracer = _build_golden_env(seed, with_faults=False, traced=True)
-    if with_faults:
-        inject_faults(env, monitoring_chaos_schedule())
+    faults = monitoring_chaos_schedule() if with_faults else ()
+    run = assemble(golden_run_spec(seed, faults, trace=True))
+    env, tracer = run.env, run.tracer
+    # The custom SLO set has no RunSpec plane, so it is attached here,
+    # after planning like every assembled plane.
     plane = attach_monitoring(
         env,
         golden_monitoring_slos(),
@@ -297,7 +267,7 @@ def run_monitored_scenario(with_faults: bool, seed: int = GOLDEN_SEED):
         eval_interval_s=30.0,
         rule_overrides=golden_monitoring_rule_overrides(),
     )
-    report = _run_golden_workload(env)
+    report = run.execute()
     engine = plane.engine
     engine.evaluate(env.sim.now)  # final sweep so short-lived tails clear
     return {
@@ -322,6 +292,7 @@ __all__ = [
     "golden_monitoring_rule_overrides",
     "golden_monitoring_rules",
     "golden_monitoring_slos",
+    "golden_run_spec",
     "monitoring_chaos_schedule",
     "run_golden_scenario",
     "run_monitored_scenario",

@@ -61,6 +61,31 @@ class TestPlan:
             main(["plan", "--app", "photo_backup", "--weights", "vibes"])
 
 
+class TestBoundaryValidation:
+    """Bad ``common()``/``run`` input exits 2 with one line naming the
+    field, instead of an empty run or a traceback."""
+
+    @pytest.mark.parametrize("argv,field", [
+        (["run", "--app", "photo_backup", "--jobs", "-3"], "jobs"),
+        (["run", "--app", "photo_backup", "--spacing", "-5"], "spacing_s"),
+        (["plan", "--app", "photo_backup", "--input-mb", "-5"], "input_mb"),
+        (["plan", "--app", "photo_backup", "--input-mb", "nan"], "input_mb"),
+        (["run", "--app", "photo_backup", "--slack", "-5"], "slack_s"),
+        (["run", "--app", "photo_backup", "--window", "-1",
+          "--scheduler", "batcher"], "window_s"),
+        (["analyze", "--app", "photo_backup", "--input-mb", "inf"],
+         "input_mb"),
+        (["pipeline", "--app", "nope"], "app"),
+    ])
+    def test_bad_input_exits_two_with_one_line(self, argv, field, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and field in err, err
+        assert "Traceback" not in err
+
+
 class TestRun:
     def test_run_reports_metrics(self, capsys):
         code = main(

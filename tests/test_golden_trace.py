@@ -22,6 +22,7 @@ from repro.testing.golden import (
     GOLDEN_SEED,
     TRACE_SCHEMA,
     run_golden_scenario,
+    run_monitored_scenario,
     trace_digest,
 )
 
@@ -38,6 +39,7 @@ VARIANTS = [
 ]
 
 TRACED_FIXTURE = "pipeline_traced.json"
+MONITORED_FIXTURE = "pipeline_monitored.json"
 
 
 def _load(filename: str) -> dict:
@@ -87,6 +89,18 @@ def test_traced_variant_matches_committed_fixture():
     lines = run_golden_scenario(fixture["with_faults"], traced=True)
     assert lines == fixture["lines"], REGEN_HINT
     assert trace_digest(lines) == fixture["digest"], REGEN_HINT
+
+
+@pytest.mark.parametrize("with_faults", [False, True])
+def test_monitored_variant_matches_committed_fixture(with_faults):
+    """The monitored scenario's alert log, fired SLOs and health replay
+    bit-for-bit against the fixture, faults off and on."""
+    fixture = _load(MONITORED_FIXTURE)
+    assert fixture["schema"] == TRACE_SCHEMA
+    assert fixture["seed"] == GOLDEN_SEED
+    pinned = fixture["runs"]["faults" if with_faults else "baseline"]
+    result = run_monitored_scenario(with_faults)
+    assert {key: result[key] for key in pinned} == pinned, REGEN_HINT
 
 
 def test_tracing_does_not_perturb_the_simulation():

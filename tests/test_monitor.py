@@ -286,21 +286,16 @@ class TestMonitoredGoldenScenario:
     def test_monitoring_does_not_perturb_the_simulation(self, chaos):
         # The monitor observes the chaos schedule's run; the same
         # schedule without monitoring must land on the same clock.
-        from repro.faults import inject_faults
+        from repro.run import assemble
         from repro.testing.golden import (
-            GOLDEN_SEED,
-            _build_golden_env,
-            _run_golden_workload,
+            golden_run_spec,
             monitoring_chaos_schedule,
         )
 
-        env, _ = _build_golden_env(
-            GOLDEN_SEED, with_faults=False, traced=False
-        )
-        inject_faults(env, monitoring_chaos_schedule())
-        report = _run_golden_workload(env)
+        run = assemble(golden_run_spec(faults=monitoring_chaos_schedule()))
+        report = run.execute()
         assert report.jobs_completed == chaos["jobs_completed"]
-        assert env.sim.now == chaos["sim_end_s"]
+        assert run.env.sim.now == chaos["sim_end_s"]
 
 
 class TestMonitoredSweepScenario:

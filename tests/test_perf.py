@@ -486,40 +486,30 @@ def _legacy_o2(path, events_per_s):
 
 
 class TestLegacyWrappers:
-    """The thin tools/ wrappers must keep their historical pass/fail."""
-
-    def test_check_bench_o2_pass_and_fail(self, tmp_path):
-        wrapper = _import_tool("check_bench_o2")
-        committed = _legacy_o2(tmp_path / "committed.json", 1000.0)
-        ok = _legacy_o2(tmp_path / "ok.json", 950.0)
-        assert wrapper.main([str(ok), "--committed", str(committed)]) == 0
-        bad = _legacy_o2(tmp_path / "bad.json", 700.0)
-        assert wrapper.main([str(bad), "--committed", str(committed)]) == 1
-
-    def test_check_bench_f10_pass_and_fail(self, tmp_path):
-        wrapper = _import_tool("check_bench_f10")
-        ok = tmp_path / "ok.json"
-        ok.write_text(json.dumps({
-            "bench": "F10", "mode": "short", "byte_identical": True,
-            "speedup_4w": 1.0, "cores": 1,
-        }))
-        assert wrapper.main([str(ok)]) == 0
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({
-            "bench": "F10", "mode": "short", "byte_identical": False,
-            "speedup_4w": 1.0, "cores": 1,
-        }))
-        assert wrapper.main([str(bad)]) == 1
+    """The unified checker keeps the pass/fail of the retired O2/F10
+    wrapper scripts."""
 
     def test_unified_checker_shim_matches(self, tmp_path):
         from repro.perf.check import main as check_main
 
         committed = _legacy_o2(tmp_path / "committed.json", 1000.0)
-        bad = _legacy_o2(tmp_path / "bad.json", 700.0)
-        assert check_main([
-            str(bad), "--bench", "O2",
-            "--committed", str(committed), "--no-trend",
-        ]) == 1
+        for speed, code in ((950.0, 0), (700.0, 1)):
+            fresh = _legacy_o2(tmp_path / f"o2-{speed}.json", speed)
+            assert check_main([
+                str(fresh), "--bench", "O2",
+                "--committed", str(committed), "--no-trend",
+            ]) == code
+        # F10: a merged fleet report that diverges across shard counts
+        # fails on any host, whatever the scaling numbers say.
+        for identical, code in ((True, 0), (False, 1)):
+            fresh = tmp_path / f"f10-{identical}.json"
+            fresh.write_text(json.dumps({
+                "bench": "F10", "mode": "short", "byte_identical": identical,
+                "speedup_4w": 1.0, "cores": 1,
+            }))
+            assert check_main([
+                str(fresh), "--bench", "F10", "--no-trend",
+            ]) == code
         shim = _import_tool("check_bench")
         assert shim.main is check_main
 

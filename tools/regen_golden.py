@@ -14,6 +14,7 @@ fixtures are stale, without writing anything (useful in CI).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -25,15 +26,16 @@ from repro.testing.golden import (  # noqa: E402 - path bootstrap above
     GOLDEN_SEED,
     TRACE_SCHEMA,
     run_golden_scenario,
+    run_monitored_scenario,
     trace_digest,
 )
 
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
-VARIANTS = {
-    "pipeline_baseline.json": {"with_faults": False},
-    "pipeline_faults.json": {"with_faults": True},
-    "pipeline_traced.json": {"with_faults": True, "traced": True},
-}
+#: Keys of one monitored run that the monitored fixture pins.
+MONITORED_KEYS = (
+    "jobs_completed", "failures", "sim_end_s", "alert_log", "fired_slos",
+    "health",
+)
 
 
 def render(with_faults: bool, traced: bool = False) -> dict:
@@ -52,6 +54,31 @@ def render(with_faults: bool, traced: bool = False) -> dict:
     return doc
 
 
+def render_monitored() -> dict:
+    """The monitored scenario's alerting outcome, faults off and on."""
+    runs = {}
+    for with_faults in (False, True):
+        result = run_monitored_scenario(with_faults)
+        runs["faults" if with_faults else "baseline"] = {
+            key: result[key] for key in MONITORED_KEYS
+        }
+    canonical = json.dumps(runs, sort_keys=True).encode("utf-8")
+    return {
+        "schema": TRACE_SCHEMA,
+        "seed": GOLDEN_SEED,
+        "digest": hashlib.sha256(canonical).hexdigest(),
+        "runs": runs,
+    }
+
+
+VARIANTS = {
+    "pipeline_baseline.json": lambda: render(False),
+    "pipeline_faults.json": lambda: render(True),
+    "pipeline_traced.json": lambda: render(True, traced=True),
+    "pipeline_monitored.json": render_monitored,
+}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -63,9 +90,9 @@ def main() -> int:
 
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     stale = []
-    for filename, kwargs in VARIANTS.items():
+    for filename, build in VARIANTS.items():
         path = GOLDEN_DIR / filename
-        fresh = render(**kwargs)
+        fresh = build()
         if args.check:
             current = json.loads(path.read_text()) if path.exists() else None
             if current != fresh:
