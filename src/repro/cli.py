@@ -558,27 +558,40 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
     if args.actions_out and not args.remediate:
         raise SystemExit("--actions-out requires --remediate")
-    topology = FleetTopology.uniform(
-        n_zones=args.zones,
-        ues_per_zone=args.ues_per_zone,
-        connectivity=args.connectivity,
-        jobs_per_ue=args.jobs_per_ue,
-        couple=args.couple,
-        seed=args.seed,
-    )
-    monitored = bool(args.monitor or args.health_out or args.remediate)
-    spec = ShardedFleetSpec(
-        topology=topology,
-        app=args.app,
-        input_mb=args.input_mb,
-        window_s=args.window,
-        slack_s=args.slack,
-        keep_alive_s=args.keep_alive,
-        sync_window_s=args.sync_window,
-        monitor=monitored,
-        chaos=args.chaos,
-        remediate=bool(args.remediate),
-    )
+
+    def build():
+        # A fleet with no zones, UEs, jobs or shards would run empty.
+        for flag, value in (("--zones", args.zones),
+                            ("--ues-per-zone", args.ues_per_zone),
+                            ("--jobs-per-ue", args.jobs_per_ue),
+                            ("--shards", args.shards)):
+            if value < 1:
+                raise ValueError(f"{flag} must be >= 1, got {value}")
+        if args.workers < 0:
+            raise ValueError(f"--workers must be >= 0, got {args.workers}")
+        topology = FleetTopology.uniform(
+            n_zones=args.zones,
+            ues_per_zone=args.ues_per_zone,
+            connectivity=args.connectivity,
+            jobs_per_ue=args.jobs_per_ue,
+            couple=args.couple,
+            seed=args.seed,
+        )
+        monitored = bool(args.monitor or args.health_out or args.remediate)
+        return topology, ShardedFleetSpec(
+            topology=topology,
+            app=args.app,
+            input_mb=args.input_mb,
+            window_s=args.window,
+            slack_s=args.slack,
+            keep_alive_s=args.keep_alive,
+            sync_window_s=args.sync_window,
+            monitor=monitored,
+            chaos=args.chaos,
+            remediate=bool(args.remediate),
+        )
+
+    topology, spec = _usage(build)
     config = {**spec.to_dict(), "n_shards": args.shards,
               "split_coupled": bool(args.split_coupled)}
     started = time.perf_counter()

@@ -508,19 +508,21 @@ class OffloadController:
         # *what* runs in the cloud, the allocation decides *at which size*,
         # and sizes feed back into partition economics.
         context = self.build_context(input_mb)
-        partition = self.partitioner.partition(context)
-        partition.validate(self.app)
-        allocation = self.allocator.allocate_app(
-            self.app, partition, self.demand, input_mb, self.latency_slo_s
+        first = self.partitioner.partition(context)
+        first.validate(self.app)
+        self.allocation = self.allocator.allocate_app(
+            self.app, first, self.demand, input_mb, self.latency_slo_s
         )
-        self.allocation = allocation
         context = self.build_context(input_mb)
         partition = self.partitioner.partition(context)
         partition.validate(self.app)
         self.partition = partition
-        self.allocation = self.allocator.allocate_app(
-            self.app, partition, self.demand, input_mb, self.latency_slo_s
-        )
+        # allocate_app is a pure function of (app, partition, demand,
+        # input, SLO); only the partition can differ from the first pass.
+        if partition != first:
+            self.allocation = self.allocator.allocate_app(
+                self.app, partition, self.demand, input_mb, self.latency_slo_s
+            )
         self._deploy()
         tracer.end_span(
             plan_span,

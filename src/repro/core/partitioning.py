@@ -28,7 +28,7 @@ import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -428,6 +428,57 @@ class GreedyPartitioner(Partitioner):
         return current
 
 
+def _min_cut_sink_side(
+    edges: Iterable[Tuple[str, str, int]], source: str, sink: str
+) -> Set[str]:
+    """Sink side of the minimum ``source``-``sink`` cut with the fewest nodes.
+
+    ``edges`` are ``(u, v, capacity)`` triples with integer capacities; a
+    repeated ``(u, v)`` overwrites the earlier capacity.  Shortest
+    augmenting paths (Edmonds-Karp) on a dict-of-dicts residual graph
+    reach a maximum flow; the nodes that can still reach ``sink`` in its
+    residual graph form the minimal sink side of a minimum cut, which is
+    the same set for every maximum flow.
+    """
+    residual: Dict[str, Dict[str, int]] = {source: {}, sink: {}}
+    for u, v, cap in edges:
+        residual.setdefault(u, {})[v] = cap
+        residual.setdefault(v, {}).setdefault(u, 0)
+
+    while True:
+        parent = {source: source}
+        frontier = [source]
+        while frontier and sink not in parent:
+            reached = []
+            for u in frontier:
+                for v, left in residual[u].items():
+                    if left and v not in parent:
+                        parent[v] = u
+                        reached.append(v)
+            frontier = reached
+        if sink not in parent:
+            break
+        path = []
+        v = sink
+        while v != source:
+            path.append((parent[v], v))
+            v = parent[v]
+        bottleneck = min(residual[u][v] for u, v in path)
+        for u, v in path:
+            residual[u][v] -= bottleneck
+            residual[v][u] += bottleneck
+
+    side = {sink}
+    stack = [sink]
+    while stack:
+        v = stack.pop()
+        for u in residual[v]:
+            if u not in side and residual[u][v]:
+                side.add(u)
+                stack.append(u)
+    return side
+
+
 class MinCutPartitioner(Partitioner):
     """Exact optimiser of the serialized objective via min s-t cut.
 
@@ -439,12 +490,12 @@ class MinCutPartitioner(Partitioner):
 
     This is the MAUI formulation generalised to three objective axes.
 
-    Capacities are scaled to integers before the max-flow runs: with
-    float capacities, networkx derives the node partition from residual
-    reachability without any tolerance, and accumulated rounding can
-    yield a partition whose cost exceeds the (correctly computed) cut
-    value.  Integer arithmetic makes the residual graph exact; the
-    scaling keeps ~12 significant digits of the original costs.
+    Capacities are scaled to integers (the largest finite one to ~1e14,
+    keeping ~12 significant digits of the original costs) and the cut is
+    an in-house integer max-flow, so every residual capacity is exact.
+    The cloud set is the minimal sink side of a minimum cut; it is the
+    same for every maximum flow, so the partition is canonical, ties
+    included.
     """
 
     name = "mincut"
@@ -453,15 +504,17 @@ class MinCutPartitioner(Partitioner):
     _SCALE_TARGET = 1e14
 
     def partition(self, ctx: PartitionContext) -> Partition:
-        graph = nx.DiGraph()
         source, sink = "__ue__", "__cloud__"
+        nodes = [(name, *_node_costs(ctx, name)) for name in ctx.app.component_names]
+        flows = [
+            (flow.src, flow.dst, *_edge_costs(ctx, flow.src, flow.dst))
+            for flow in ctx.app.flows
+        ]
         # A capacity safely above any finite sum of costs acts as infinity.
         ceiling = 1.0
-        for name in ctx.app.component_names:
-            local, cloud = _node_costs(ctx, name)
+        for _name, local, cloud in nodes:
             ceiling += local + cloud
-        for flow in ctx.app.flows:
-            up, down = _edge_costs(ctx, flow.src, flow.dst)
+        for _src, _dst, up, down in flows:
             ceiling += up + down
         infinite = ceiling * 10
         scale = self._SCALE_TARGET / infinite
@@ -469,24 +522,22 @@ class MinCutPartitioner(Partitioner):
         def capacity(value: float) -> int:
             return int(round(value * scale))
 
-        for name in ctx.app.component_names:
-            local_cost, cloud_cost = _node_costs(ctx, name)
+        edges: List[Tuple[str, str, int]] = []
+        for name, local_cost, cloud_cost in nodes:
             if not ctx.app.component(name).offloadable:
                 cloud_cost = infinite
             # The convention: capacity(s->v) is paid when v lands on the
             # sink (cloud) side, so it carries the cloud cost; v->t is paid
             # when v stays on the source (local) side.
-            graph.add_edge(source, name, capacity=capacity(cloud_cost))
-            graph.add_edge(name, sink, capacity=capacity(local_cost))
-
-        for flow in ctx.app.flows:
-            up, down = _edge_costs(ctx, flow.src, flow.dst)
+            edges.append((source, name, capacity(cloud_cost)))
+            edges.append((name, sink, capacity(local_cost)))
+        for src, dst, up, down in flows:
             # src local / dst cloud pays `up`: that cut separates src (source
             # side) from dst (sink side) across edge src->dst.
-            graph.add_edge(flow.src, flow.dst, capacity=capacity(up))
-            graph.add_edge(flow.dst, flow.src, capacity=capacity(down))
+            edges.append((src, dst, capacity(up)))
+            edges.append((dst, src, capacity(down)))
 
-        _value, (source_side, sink_side) = nx.minimum_cut(graph, source, sink)
+        sink_side = _min_cut_sink_side(edges, source, sink)
         cloud = frozenset(n for n in sink_side if n not in (source, sink))
         partition = Partition(ctx.app.name, cloud)
         partition.validate(ctx.app)

@@ -137,16 +137,18 @@ class ShardedFleetSpec:
     def __post_init__(self) -> None:
         if self.remediate and not self.monitor:
             raise ValueError("remediate=True requires monitor=True")
-        if self.input_mb < 0:
+        # Negated comparisons so that NaN is rejected too.
+        if not self.input_mb >= 0:
             raise ValueError("input_mb must be >= 0")
-        if self.window_s <= 0:
+        if not self.window_s > 0:
             raise ValueError("window_s must be > 0")
-        if self.slack_s < 0:
+        if not self.slack_s >= 0:
             raise ValueError("slack_s must be >= 0")
-        if self.keep_alive_s < 0:
+        if not self.keep_alive_s >= 0:
             raise ValueError("keep_alive_s must be >= 0")
-        if self.sync_window_s <= 0:
+        if not self.sync_window_s > 0:
             raise ValueError("sync_window_s must be > 0")
+        _app_factory(self.app)
         if self.chaos not in FLEET_CHAOS:
             raise ValueError(
                 f"unknown chaos schedule {self.chaos!r}; "

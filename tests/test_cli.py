@@ -62,8 +62,8 @@ class TestPlan:
 
 
 class TestBoundaryValidation:
-    """Bad ``common()``/``run`` input exits 2 with one line naming the
-    field, instead of an empty run or a traceback."""
+    """Bad ``common()``/``run``/``fleet`` input exits 2 with one line
+    naming the field, instead of an empty run or a traceback."""
 
     @pytest.mark.parametrize("argv,field", [
         (["run", "--app", "photo_backup", "--jobs", "-3"], "jobs"),
@@ -76,6 +76,14 @@ class TestBoundaryValidation:
         (["analyze", "--app", "photo_backup", "--input-mb", "inf"],
          "input_mb"),
         (["pipeline", "--app", "nope"], "app"),
+        (["fleet", "--zones", "0"], "--zones"),
+        (["fleet", "--shards", "0"], "--shards"),
+        (["fleet", "--ues-per-zone", "-1"], "--ues-per-zone"),
+        (["fleet", "--ues-per-zone", "0"], "--ues-per-zone"),
+        (["fleet", "--jobs-per-ue", "0"], "--jobs-per-ue"),
+        (["fleet", "--workers", "-1"], "--workers"),
+        (["fleet", "--input-mb", "nan"], "input_mb"),
+        (["fleet", "--app", "nope"], "app"),
     ])
     def test_bad_input_exits_two_with_one_line(self, argv, field, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -68,6 +68,75 @@ class TestPlanning:
             make_controller(replan_every=0)
 
 
+def _forced_two_pass_plan(controller, input_mb):
+    """``plan()`` with the second ``allocate_app`` always run; returns the
+    first-pass partition."""
+    first = controller.partitioner.partition(controller.build_context(input_mb))
+    controller.allocation = controller.allocator.allocate_app(
+        controller.app, first, controller.demand, input_mb, controller.latency_slo_s
+    )
+    controller.partition = controller.partitioner.partition(
+        controller.build_context(input_mb)
+    )
+    controller.allocation = controller.allocator.allocate_app(
+        controller.app,
+        controller.partition,
+        controller.demand,
+        input_mb,
+        controller.latency_slo_s,
+    )
+    controller._deploy()
+    return first
+
+
+def _flip_app():
+    """``b`` needs 10 GB: cheap to offload at the 1769 MB first-pass
+    default, too dear once the allocator sizes it."""
+    from repro.apps import AppGraph, Component, DataFlow
+
+    return AppGraph(
+        "flip",
+        [
+            Component("a", work_gcycles=0.5, offloadable=False),
+            Component("b", work_gcycles=8.0, min_memory_mb=10240),
+        ],
+        [DataFlow("a", "b", bytes_fixed=2e5)],
+    )
+
+
+class TestPlanAllocationSkip:
+    """``plan()`` skips the second allocation when the refined partition
+    equals the first; the outcome must equal always allocating twice."""
+
+    @pytest.mark.parametrize(
+        "app_factory, weights, flips",
+        [
+            (photo_backup_app, ObjectiveWeights.non_time_critical(), False),
+            (photo_backup_app, ObjectiveWeights.interactive(), False),
+            (_flip_app, ObjectiveWeights(0.0, 1.0, 30000.0), True),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_matches_forced_second_allocation(self, app_factory, weights, flips, seed):
+        planned = make_controller(seed=seed, app=app_factory(), weights=weights)
+        forced = make_controller(seed=seed, app=app_factory(), weights=weights)
+        for controller in (planned, forced):
+            controller.profile_offline()
+        partition = planned.plan(input_mb=2.0)
+        first = _forced_two_pass_plan(forced, input_mb=2.0)
+        assert (first != forced.partition) is flips
+        assert partition == planned.partition == forced.partition
+        assert planned.allocation == forced.allocation
+
+        def deployed(controller):
+            platform = controller.env.platform
+            return {
+                name: platform.spec(name) for name in platform.deployed_functions()
+            }
+
+        assert deployed(planned) == deployed(forced)
+
+
 class TestExecution:
     def test_single_job_completes(self):
         controller = make_controller()

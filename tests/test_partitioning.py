@@ -2,6 +2,7 @@
 
 import math
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from repro.core.partitioning import (
     Partition,
     PartitionContext,
     TreeDPPartitioner,
+    _min_cut_sink_side,
     evaluate_partition,
     pareto_front,
 )
@@ -225,6 +227,53 @@ class TestOptimality:
         ctx = make_context(app)
         with pytest.raises(ValueError):
             ExhaustivePartitioner(max_offloadable=10).partition(ctx)
+
+
+#: Small values make ties common; the top of the range is the ~1e14
+#: scale MinCutPartitioner maps its largest finite capacity to.
+_CAPACITIES = st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(0, 10**14))
+
+
+@st.composite
+def _flow_networks(draw):
+    """``(u, v, capacity)`` edges over source ``s``, sink ``t`` and 2-12
+    inner nodes; repeated pairs exercise overwrite-on-duplicate."""
+    nodes = [f"v{i}" for i in range(draw(st.integers(2, 12)))]
+    edges = []
+    for node in nodes:
+        edges.append(("s", node, draw(_CAPACITIES)))
+        edges.append((node, "t", draw(_CAPACITIES)))
+    pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(
+        lambda pair: pair[0] != pair[1]
+    )
+    for u, v in draw(st.lists(pairs, max_size=3 * len(nodes))):
+        edges.append((u, v, draw(_CAPACITIES)))
+    # A pinned node: its source edge exceeds every finite capacity sum.
+    edges.append(("s", draw(st.sampled_from(nodes)), 10**17))
+    return edges
+
+
+class TestIntegerMinCut:
+    """The in-house max-flow against networkx as the oracle."""
+
+    @given(_flow_networks())
+    @settings(max_examples=60, deadline=None)
+    def test_sink_side_matches_networkx(self, edges):
+        graph = nx.DiGraph()
+        for u, v, capacity in edges:
+            graph.add_edge(u, v, capacity=capacity)
+        _value, (_source_side, sink_side) = nx.minimum_cut(graph, "s", "t")
+        assert _min_cut_sink_side(edges, "s", "t") == set(sink_side)
+
+    def test_ties_resolve_to_the_source_side(self):
+        # a costs 5 on either side and stays local; b is cheaper remote.
+        edges = [("s", "a", 5), ("a", "t", 5), ("s", "b", 2), ("b", "t", 3)]
+        assert _min_cut_sink_side(edges, "s", "t") == {"b", "t"}
+
+    def test_duplicate_edge_overwrites(self):
+        edges = [("s", "a", 9), ("a", "t", 5), ("s", "a", 1)]
+        assert _min_cut_sink_side(edges, "s", "t") == {"a", "t"}
+        assert _min_cut_sink_side(edges[:2], "s", "t") == {"t"}
 
 
 class TestBehaviouralShapes:
