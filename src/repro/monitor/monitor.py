@@ -30,8 +30,7 @@ demand feed (:mod:`repro.monitor.observed`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.monitor.window import WindowAggregate, WindowedSeries
 from repro.telemetry.tracer import (
@@ -54,8 +53,7 @@ KIND_LINK = "link"
 SeriesId = Tuple[str, str, str]
 
 
-@dataclass(frozen=True)
-class ObservedExecution:
+class ObservedExecution(NamedTuple):
     """One successful cloud invocation as the monitor saw it."""
 
     function: str
@@ -63,6 +61,23 @@ class ObservedExecution:
     duration_s: float
     memory_mb: float
     cold: bool
+
+
+class _SeriesTable(dict):
+    """Series by identity; indexing an unknown identity creates it."""
+
+    def __init__(self, monitor: "Monitor") -> None:
+        super().__init__()
+        self.monitor = monitor
+
+    def __missing__(self, key: SeriesId) -> WindowedSeries:
+        monitor = self.monitor
+        series = self[key] = WindowedSeries(
+            bucket_s=monitor.bucket_s,
+            horizon_s=monitor.horizon_s,
+            alpha=monitor.alpha,
+        )
+        return series
 
 
 class Monitor:
@@ -93,31 +108,33 @@ class Monitor:
         self.bucket_s = bucket_s
         self.horizon_s = horizon_s
         self.alpha = alpha
-        self._series: Dict[SeriesId, WindowedSeries] = {}
+        self._series = _SeriesTable(self)
         self.executions: List[ObservedExecution] = []
 
     # -- series access -----------------------------------------------------
 
     def series(self, kind: str, name: str, signal: str) -> WindowedSeries:
         """Get or create the series for ``(kind, name, signal)``."""
-        key = (kind, name, signal)
-        series = self._series.get(key)
-        if series is None:
-            series = self._series[key] = WindowedSeries(
-                bucket_s=self.bucket_s,
-                horizon_s=self.horizon_s,
-                alpha=self.alpha,
-            )
-        return series
+        return self._series[(kind, name, signal)]
 
     def entities(self) -> List[SeriesId]:
         """Sorted identities of every series with at least one event."""
         return sorted(self._series)
 
+    def _window(self, window_s: Optional[float]) -> float:
+        """``window_s``, or the horizon for ``None``; must be positive."""
+        window = self.horizon_s if window_s is None else window_s
+        if not window > 0:
+            raise ValueError(f"window_s must be positive, got {window}")
+        return window
+
     def aggregate(
         self, kind: str, name: str, signal: str, now: float, window_s: float
     ) -> WindowAggregate:
-        """Windowed fold of one series (empty aggregate if unknown)."""
+        """Windowed fold of one series (empty aggregate if unknown).
+
+        ``window_s`` must be positive whether or not the series exists.
+        """
         series = self._series.get((kind, name, signal))
         if series is None:
             return WindowAggregate(window_s, self.alpha)
@@ -133,7 +150,7 @@ class Monitor:
         rather than queueing delay.
         """
         agg = self.aggregate(
-            KIND_LINK, link, "throughput", now, window_s or self.horizon_s
+            KIND_LINK, link, "throughput", now, self._window(window_s)
         )
         radio_s = agg.extra("radio_s")
         if radio_s <= 0.0:
@@ -152,12 +169,13 @@ class Monitor:
         fits — :meth:`link_rate` is the same quantity folded to one
         number.
         """
+        window = self._window(window_s)
         series = self._series.get((KIND_LINK, link, "throughput"))
         if series is None:
             return []
         points: List[Tuple[float, float]] = []
         for end, extras in series.bucket_extras(
-            now, window_s or self.horizon_s, ("bytes", "radio_s")
+            now, window, ("bytes", "radio_s")
         ):
             radio_s = extras["radio_s"]
             if radio_s > 0.0:
@@ -169,8 +187,7 @@ class Monitor:
     ) -> float:
         """Peak observed queue depth for ``function`` over the window."""
         agg = self.aggregate(
-            KIND_FUNCTION, function, "queue", now,
-            window_s or self.horizon_s,
+            KIND_FUNCTION, function, "queue", now, self._window(window_s)
         )
         return agg.extra_max("depth")
 
@@ -178,59 +195,52 @@ class Monitor:
 
     def on_span_end(self, span: Any) -> None:
         category = span.category
-        attrs = span.attributes
-        end = span.end
         if category == PHASE_EXECUTE:
+            attrs = span.attributes
             if attrs.get("tier") != "cloud":
                 return
+            end = span.end
+            duration = end - span.start
             errored = "error" in attrs
             cold = bool(attrs.get("cold", False))
             extras = {"cold": 1.0 if cold else 0.0}
             if "billed_usd" in attrs:
                 extras["billed_usd"] = float(attrs["billed_usd"])
-            self.series(KIND_FUNCTION, span.name, "latency").observe(
-                end, value=span.duration, bad=errored, extras=extras
+            self._series[(KIND_FUNCTION, span.name, "latency")].observe(
+                end, duration, errored, extras
             )
-            self.series(KIND_ZONE, self.zone, "availability").observe(
-                end, value=span.duration, bad=errored, extras=extras
+            self._series[(KIND_ZONE, self.zone, "availability")].observe(
+                end, duration, errored, extras
             )
             if not errored:
-                self.executions.append(
-                    ObservedExecution(
-                        function=span.name,
-                        at=end,
-                        duration_s=span.duration,
-                        memory_mb=float(attrs.get("memory_mb", 0.0)),
-                        cold=cold,
-                    )
-                )
+                self.executions.append(ObservedExecution(
+                    span.name, end, duration,
+                    float(attrs.get("memory_mb", 0.0)), cold,
+                ))
         elif category == PHASE_QUEUE:
-            self.series(KIND_FUNCTION, span.name, "queue").observe(
-                end,
-                value=span.duration,
-                extras_max={"depth": float(attrs.get("depth", 0.0))},
+            self._series[(KIND_FUNCTION, span.name, "queue")].observe(
+                span.end, span.end - span.start, False, None,
+                {"depth": float(span.attributes.get("depth", 0.0))},
             )
         elif category == PHASE_COLD_START:
-            self.series(KIND_FUNCTION, span.name, "cold_start").observe(
-                end, value=span.duration
+            self._series[(KIND_FUNCTION, span.name, "cold_start")].observe(
+                span.end, span.end - span.start
             )
         elif category == PHASE_UPLOAD or category == PHASE_DOWNLOAD:
+            attrs = span.attributes
             link = "uplink" if category == PHASE_UPLOAD else "downlink"
-            self.series(KIND_LINK, link, "throughput").observe(
-                end,
-                value=span.duration,
-                extras={
+            self._series[(KIND_LINK, link, "throughput")].observe(
+                span.end, span.end - span.start, False, {
                     "bytes": float(attrs.get("bytes", 0.0)),
                     "radio_s": float(attrs.get("radio_s", 0.0)),
                 },
             )
         elif category == PHASE_JOB:
+            attrs = span.attributes
             bad = "error" in attrs or attrs.get("met_deadline") is False
-            self.series(KIND_ZONE, self.zone, "job").observe(
-                end,
-                value=span.duration,
-                bad=bad,
-                extras={"cost_usd": float(attrs.get("cloud_cost_usd", 0.0))},
+            self._series[(KIND_ZONE, self.zone, "job")].observe(
+                span.end, span.end - span.start, bad,
+                {"cost_usd": float(attrs.get("cloud_cost_usd", 0.0))},
             )
 
     def on_instant(
@@ -240,19 +250,19 @@ class Monitor:
             # No execute span exists for a control-plane rejection, so it
             # only appears here; errored attempts that *ran* are counted
             # by their execute span instead (never both).
-            self.series(KIND_ZONE, self.zone, "availability").observe(
+            self._series[(KIND_ZONE, self.zone, "availability")].observe(
                 at, bad=True, extras={"rejected": 1.0}
             )
         elif name == "attempt_failed":
-            self.series(KIND_ZONE, self.zone, "wasted").observe(
+            self._series[(KIND_ZONE, self.zone, "wasted")].observe(
                 at,
                 bad=True,
                 extras={"wasted_usd": float(attributes.get("wasted_usd", 0.0))},
             )
         elif name == "hedge_started":
-            self.series(KIND_ZONE, self.zone, "hedges").observe(at)
+            self._series[(KIND_ZONE, self.zone, "hedges")].observe(at)
         elif name == "fallback_local":
-            self.series(KIND_ZONE, self.zone, "fallbacks").observe(at)
+            self._series[(KIND_ZONE, self.zone, "fallbacks")].observe(at)
 
     # -- snapshots ---------------------------------------------------------
 
@@ -265,7 +275,7 @@ class Monitor:
         hold count, rate, error ratio, mean and p50/p95/p99 — floats
         only, so the dict JSON-dumps byte-identically across runs.
         """
-        window = window_s or self.horizon_s
+        window = self._window(window_s)
         out: Dict[str, Dict[str, float]] = {}
         for kind, name, signal in self.entities():
             agg = self.aggregate(kind, name, signal, now, window)

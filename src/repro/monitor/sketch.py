@@ -54,6 +54,10 @@ class QuantileSketch:
             return
         if not math.isfinite(value) or value < 0.0:
             raise ValueError(f"sketch values must be finite and >= 0: {value}")
+        self._add(value, count)
+
+    def _add(self, value: float, count: int = 1) -> None:
+        """Record a value the caller has already checked finite and >= 0."""
         if value < _MIN_TRACKED:
             self._zero_count += count
             return
@@ -71,8 +75,11 @@ class QuantileSketch:
             self._buckets[index] = self._buckets.get(index, 0) + count
 
     def copy(self) -> "QuantileSketch":
-        """An independent copy (used when aggregating windows)."""
-        twin = QuantileSketch(self.alpha)
+        """An independent copy (the geometry is reused, not recomputed)."""
+        twin = QuantileSketch.__new__(QuantileSketch)
+        twin.alpha = self.alpha
+        twin._gamma = self._gamma
+        twin._log_gamma = self._log_gamma
         twin._zero_count = self._zero_count
         twin._buckets = dict(self._buckets)
         return twin

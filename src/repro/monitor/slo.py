@@ -128,7 +128,7 @@ class AvailabilitySLO(SLO):
     def bad_fraction(self, agg: WindowAggregate) -> Optional[float]:
         if agg.count == 0:
             return None
-        return agg.error_ratio
+        return agg.bad / agg.count
 
 
 class LatencySLO(SLO):
@@ -150,10 +150,10 @@ class LatencySLO(SLO):
         self.threshold_s = threshold_s
 
     def bad_fraction(self, agg: WindowAggregate) -> Optional[float]:
-        total = agg.sketch.count
+        total = agg.valued_count
         if total == 0:
             return None
-        return 1.0 - agg.sketch.count_at_most(self.threshold_s) / total
+        return 1.0 - agg.count_at_most(self.threshold_s) / total
 
 
 class ColdStartSLO(SLO):
@@ -324,20 +324,28 @@ class SLOEngine:
 
         Fires and clears are appended to the log ordered by (SLO name,
         rule name) within this instant; re-evaluating the same instant
-        is idempotent.  Returns alerts newly fired at this evaluation.
+        is idempotent.  An SLO's windows are all read before listeners
+        hear about any of its rules.  Returns alerts newly fired at this
+        evaluation.
         """
         fired: List[Alert] = []
+        monitor = self.monitor
         for slo in self.slos:
-            for rule in self.rules_for(slo):
+            rules = self.rules_for(slo)
+            # Each distinct window is folded once, before any of this
+            # SLO's rules is checked: the stock rule pairs share 300 s.
+            burns: Dict[float, Tuple[WindowAggregate, Optional[float]]] = {}
+            for rule in rules:
+                for window_s in (rule.short_s, rule.long_s):
+                    if window_s not in burns:
+                        agg = monitor.aggregate(
+                            slo.kind, slo.entity, slo.signal, now, window_s
+                        )
+                        burns[window_s] = (agg, slo.burn_rate(agg))
+            for rule in rules:
                 key = (slo.name, rule.name)
-                agg_short = self.monitor.aggregate(
-                    slo.kind, slo.entity, slo.signal, now, rule.short_s
-                )
-                agg_long = self.monitor.aggregate(
-                    slo.kind, slo.entity, slo.signal, now, rule.long_s
-                )
-                burn_short = slo.burn_rate(agg_short)
-                burn_long = slo.burn_rate(agg_long)
+                burn_short = burns[rule.short_s][1]
+                agg_long, burn_long = burns[rule.long_s]
                 firing = (
                     burn_short is not None
                     and burn_long is not None

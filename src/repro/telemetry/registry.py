@@ -15,12 +15,15 @@ formats:
 
 Label values are stringified at registration; a series' identity is
 ``(name, sorted(labels))``, so call-site keyword order never matters.
+A repeat access whose label values are all ``str`` resolves with one
+dict lookup on the raw call arguments; only a first access validates,
+sorts and creates.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Mapping, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Tuple, Union
 
 from repro.metrics.collectors import Counter, Gauge, Summary
 
@@ -78,31 +81,56 @@ class LabeledMetricsRegistry:
         self._counters: Dict[SeriesKey, Counter] = {}
         self._gauges: Dict[SeriesKey, Gauge] = {}
         self._summaries: Dict[SeriesKey, Summary] = {}
+        #: ``(kind, name, *labels.items())`` → series, for str-valued
+        #: labels only: ``1``, ``1.0`` and ``True`` are equal dict keys
+        #: but ``str()`` keeps ``True`` a separate series.
+        self._resolved: Dict[tuple, Any] = {}
 
     # -- access ------------------------------------------------------------
 
+    def _resolve(
+        self,
+        kind: str,
+        table: Dict[SeriesKey, Any],
+        factory: Callable[[str], Any],
+        name: str,
+        labels: Dict[str, object],
+    ) -> Any:
+        """The slow path: validate, sort, create; remember str labels."""
+        key = _series_key(name, labels)
+        series = table.get(key)
+        if series is None:
+            series = table[key] = factory(_render_series(key))
+        if all(type(value) is str for value in labels.values()):
+            self._resolved[(kind, name, *labels.items())] = series
+        return series
+
     def counter(self, name: str, **labels: object) -> Counter:
         """Get or create the counter series ``name{labels}``."""
-        key = _series_key(name, labels)
-        series = self._counters.get(key)
+        series = self._resolved.get(("counter", name, *labels.items()))
         if series is None:
-            series = self._counters[key] = Counter(_render_series(key))
+            series = self._resolve(
+                "counter", self._counters, Counter, name, labels
+            )
         return series
 
     def gauge(self, name: str, initial: float = 0.0, **labels: object) -> Gauge:
         """Get or create the gauge series ``name{labels}``."""
-        key = _series_key(name, labels)
-        series = self._gauges.get(key)
+        series = self._resolved.get(("gauge", name, *labels.items()))
         if series is None:
-            series = self._gauges[key] = Gauge(_render_series(key), initial)
+            series = self._resolve(
+                "gauge", self._gauges,
+                lambda rendered: Gauge(rendered, initial), name, labels,
+            )
         return series
 
     def summary(self, name: str, **labels: object) -> Summary:
         """Get or create the summary series ``name{labels}``."""
-        key = _series_key(name, labels)
-        series = self._summaries.get(key)
+        series = self._resolved.get(("summary", name, *labels.items()))
         if series is None:
-            series = self._summaries[key] = Summary(_render_series(key))
+            series = self._resolve(
+                "summary", self._summaries, Summary, name, labels
+            )
         return series
 
     def series_names(self) -> List[str]:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.metrics.collectors import Summary
 from repro.telemetry.registry import LabeledMetricsRegistry
 
 #: Canonical phase categories, in the order a job experiences them.
@@ -89,6 +90,7 @@ class Span:
         category: str,
         start: float,
         parent_id: Optional[int] = None,
+        attributes: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.span_id = span_id
         self.parent_id = parent_id
@@ -96,7 +98,9 @@ class Span:
         self.category = category
         self.start = start
         self.end: Optional[float] = None
-        self.attributes: Dict[str, Any] = {}
+        #: Taken as given (not copied): the tracer passes its fresh
+        #: ``**attributes`` dict.
+        self.attributes: Dict[str, Any] = {} if attributes is None else attributes
         self.events: List[Tuple[float, str, Dict[str, Any]]] = []
 
     @property
@@ -222,6 +226,21 @@ class _InstantSlot:
 _RING_CAPACITY = 512
 
 
+class _SpanSeconds(dict):
+    """category → its ``span_seconds{category}`` summary in ``registry``,
+    resolved on first use."""
+
+    def __init__(self, registry: LabeledMetricsRegistry) -> None:
+        super().__init__()
+        self.registry = registry
+
+    def __missing__(self, category: str) -> Summary:
+        summary = self[category] = self.registry.summary(
+            "span_seconds", category=category
+        )
+        return summary
+
+
 class Tracer:
     """Records spans against a simulated clock.
 
@@ -236,7 +255,8 @@ class Tracer:
         "clock",
         "_spans",
         "_next_id",
-        "metrics",
+        "_metrics",
+        "_span_seconds",
         "_listeners",
         "_ring",
         "_ring_len",
@@ -261,6 +281,16 @@ class Tracer:
             _InstantSlot() for _ in range(_RING_CAPACITY)
         ]
         self._ring_len = 0
+
+    @property
+    def metrics(self) -> LabeledMetricsRegistry:
+        """The labeled registry every ended span feeds."""
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, registry: LabeledMetricsRegistry) -> None:
+        self._metrics = registry
+        self._span_seconds = _SpanSeconds(registry)
 
     # -- listeners ---------------------------------------------------------
 
@@ -329,15 +359,14 @@ class Tracer:
         if self._ring_len:
             self.flush()
         span = Span(
-            span_id=self._next_id,
-            name=name,
-            category=category,
-            start=self.clock.now,
-            parent_id=(parent.span_id if parent is not None else None),
+            self._next_id,
+            name,
+            category,
+            self.clock.now,
+            parent.span_id if parent is not None else None,
+            attributes,
         )
         self._next_id += 1
-        if attributes:
-            span.attributes.update(attributes)
         self._spans.append(span)
         return span
 
@@ -347,19 +376,18 @@ class Tracer:
         Ending an already-closed span (or the null span) is a no-op, so
         error paths may end defensively.
         """
-        if span.closed or span.span_id == 0:
+        if span.end is not None or span.span_id == 0:
             return
         if self._ring_len:
             # Buffered instants on this span must land before listeners
             # (or later readers) see it closed.
             self.flush()
-        span.end = self.clock.now
+        end = span.end = self.clock.now
         if attributes:
             span.attributes.update(attributes)
-        if span.category:
-            self.metrics.summary(
-                "span_seconds", category=span.category
-            ).observe(span.duration)
+        category = span.category
+        if category:
+            self._span_seconds[category].observe(end - span.start)
         if self._listeners:
             for listener in self._listeners:
                 listener.on_span_end(span)
@@ -408,21 +436,18 @@ class Tracer:
         if self._ring_len:
             self.flush()
         span = Span(
-            span_id=self._next_id,
-            name=name,
-            category=category,
-            start=start,
-            parent_id=(parent.span_id if parent is not None else None),
+            self._next_id,
+            name,
+            category,
+            start,
+            parent.span_id if parent is not None else None,
+            attributes,
         )
         self._next_id += 1
         span.end = end
-        if attributes:
-            span.attributes.update(attributes)
         self._spans.append(span)
         if category:
-            self.metrics.summary("span_seconds", category=category).observe(
-                end - start
-            )
+            self._span_seconds[category].observe(end - start)
         if self._listeners:
             for listener in self._listeners:
                 listener.on_span_end(span)

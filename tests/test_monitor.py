@@ -112,12 +112,62 @@ class TestMonitorRouting:
         assert "zone/faas/availability" in stats
         assert "link/uplink/throughput" in stats
 
+    def test_rejected_span_attribute_records_nothing(self):
+        monitor = Monitor(_Clock())
+        with pytest.raises(ValueError):
+            monitor.on_span_end(
+                _Span("execute", "app.f", 0.0, 2.0, tier="cloud",
+                      billed_usd=float("nan"))
+            )
+        assert all(
+            monitor.series(*key).total_count == 0 for key in monitor.entities()
+        )
+        assert monitor.executions == []
+
     def test_attach_requires_recording_tracer(self):
         class Env:
             sim = Simulator()
 
         with pytest.raises(RuntimeError, match="disabled tracer"):
             attach_monitor(Env())
+
+
+class TestWindowArguments:
+    """``window_s`` is checked the same way for known and unknown series."""
+
+    @staticmethod
+    def _monitor():
+        monitor = Monitor(_Clock())
+        monitor.on_span_end(
+            _Span("upload", "ue->cloud", 0.0, 2.0, bytes=4.0, radio_s=1.0)
+        )
+        monitor.on_span_end(_Span("queue", "app.f", 0.0, 0.5, depth=3))
+        return monitor
+
+    @pytest.mark.parametrize("window_s", [0.0, -5.0])
+    @pytest.mark.parametrize("name", ["known", "unknown"])
+    def test_non_positive_windows_rejected(self, window_s, name):
+        monitor = self._monitor()
+        link = "uplink" if name == "known" else "sidelink"
+        function = "app.f" if name == "known" else "app.g"
+        with pytest.raises(ValueError, match="window_s"):
+            monitor.aggregate(KIND_LINK, link, "throughput", 5.0, window_s)
+        with pytest.raises(ValueError, match="window_s"):
+            monitor.link_rate(link, 5.0, window_s)
+        with pytest.raises(ValueError, match="window_s"):
+            monitor.link_goodput_points(link, 5.0, window_s)
+        with pytest.raises(ValueError, match="window_s"):
+            monitor.queue_depth(function, 5.0, window_s)
+        with pytest.raises(ValueError, match="window_s"):
+            monitor.stats(5.0, window_s)
+
+    def test_none_means_the_whole_horizon(self):
+        monitor = self._monitor()
+        assert monitor.link_rate("uplink", 5.0) == 4.0
+        assert monitor.link_rate("uplink", 5.0, None) == 4.0
+        assert monitor.link_goodput_points("uplink", 5.0) == [(10.0, 4.0)]
+        assert monitor.queue_depth("app.f", 5.0, None) == 3.0
+        assert monitor.stats(5.0) == monitor.stats(5.0, monitor.horizon_s)
 
 
 class TestSLOEngine:

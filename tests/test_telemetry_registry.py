@@ -43,6 +43,48 @@ class TestSeriesIdentity:
             LabeledMetricsRegistry().counter("ok", **{"b ad": 1})
 
 
+class TestRepeatLookups:
+    """Repeat accesses resolve to the series a first access created."""
+
+    def test_kwarg_order_gives_the_same_series_on_every_call(self):
+        reg = LabeledMetricsRegistry()
+        first = reg.counter("jobs", app="photo", tier="cloud")
+        for _ in range(3):
+            assert reg.counter("jobs", tier="cloud", app="photo") is first
+            assert reg.counter("jobs", app="photo", tier="cloud") is first
+
+    def test_equal_keys_with_different_strings_stay_apart(self):
+        # 1, 1.0 and True are equal dict keys, but their str() differs
+        # except for 1 and "1".
+        for order in ([1, "1", 1.0, True], [True, 1.0, "1", 1]):
+            reg = LabeledMetricsRegistry()
+            series = {repr(v): reg.counter("c", a=v) for v in order * 2}
+            assert series["1"] is series["'1'"]
+            assert series["1.0"] is not series["1"]
+            assert series["True"] is not series["1"]
+            assert reg.series_names() == [
+                'c{a="1"}', 'c{a="1.0"}', 'c{a="True"}',
+            ]
+
+    def test_kinds_do_not_share_series(self):
+        reg = LabeledMetricsRegistry()
+        counter = reg.counter("x", k="v")
+        assert reg.summary("x", k="v") is not counter
+        assert reg.gauge("x", k="v") is not counter
+        assert reg.summary("x", k="v") is reg.summary("x", k="v")
+        assert reg.gauge("x", k="v") is reg.gauge("x", 5.0, k="v")
+
+    def test_invalid_names_raise_on_every_call(self):
+        reg = LabeledMetricsRegistry()
+        reg.counter("ok", app="a")
+        for _ in range(3):
+            with pytest.raises(ValueError, match="invalid label name"):
+                reg.counter("ok", **{"bad label": "a"})
+            with pytest.raises(ValueError, match="invalid metric name"):
+                reg.summary("bad name", app="a")
+        assert reg.series_names() == ['ok{app="a"}']
+
+
 class TestSnapshot:
     def test_summary_expands_to_count_sum_quantiles(self):
         reg = LabeledMetricsRegistry()

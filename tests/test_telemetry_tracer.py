@@ -3,7 +3,13 @@
 import pytest
 
 from repro.sim import Simulator
-from repro.telemetry import NULL_TRACER, NullTracer, Tracer, attach_tracer
+from repro.telemetry import (
+    NULL_TRACER,
+    LabeledMetricsRegistry,
+    NullTracer,
+    Tracer,
+    attach_tracer,
+)
 from repro.telemetry.tracer import (
     PHASE_COLD_START,
     PHASE_EXECUTE,
@@ -68,6 +74,18 @@ class TestSpanRecording:
         snap = tracer.metrics.snapshot()
         assert snap['span_seconds_count{category="cold_start"}'] == 1
         assert snap['span_seconds_sum{category="cold_start"}'] == 2.0
+
+    def test_replaced_registry_receives_later_spans(self):
+        clock = FakeClock()
+        tracer = Tracer(clock)
+        old = tracer.metrics
+        tracer.end_span(tracer.start_span("a", category=PHASE_COLD_START))
+        tracer.metrics = LabeledMetricsRegistry()
+        tracer.end_span(tracer.start_span("b", category=PHASE_COLD_START))
+        tracer.record_span("c", PHASE_COLD_START, 0.0, 1.0)
+        key = 'span_seconds_count{category="cold_start"}'
+        assert old.snapshot()[key] == 1
+        assert tracer.metrics.snapshot()[key] == 2
 
     def test_record_span_with_explicit_times(self):
         tracer = Tracer(FakeClock(100.0))
