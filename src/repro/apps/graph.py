@@ -124,6 +124,15 @@ class AppGraph:
             cycle = nx.find_cycle(self._graph)
             raise ValueError(f"app {name!r} contains a cycle: {cycle}")
         self._topo_order: List[str] = list(nx.topological_sort(self._graph))
+        # The graph never changes after construction, so the sorted
+        # adjacency and flow order are computed once: the per-job path
+        # reads them for every component and edge.
+        self._flow_order: List[DataFlow] = [
+            self._flows[k] for k in sorted(self._flows)
+        ]
+        self._preds: Dict[str, List[str]] = {
+            n: sorted(self._graph.predecessors(n)) for n in self._components
+        }
 
     # -- structure ----------------------------------------------------------
 
@@ -152,7 +161,7 @@ class AppGraph:
     @property
     def flows(self) -> List[DataFlow]:
         """All data flows, ordered by (src, dst)."""
-        return [self._flows[k] for k in sorted(self._flows)]
+        return list(self._flow_order)
 
     def flow(self, src: str, dst: str) -> DataFlow:
         """The flow on edge ``(src, dst)``."""
@@ -163,7 +172,10 @@ class AppGraph:
 
     def predecessors(self, name: str) -> List[str]:
         """Immediate upstream component names, sorted."""
-        return sorted(self._graph.predecessors(name))
+        preds = self._preds.get(name)
+        if preds is None:
+            return sorted(self._graph.predecessors(name))  # raises for unknowns
+        return list(preds)
 
     def successors(self, name: str) -> List[str]:
         """Immediate downstream component names, sorted."""

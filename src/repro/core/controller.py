@@ -33,7 +33,7 @@ from repro.core.partitioning import (
     Partition,
     PartitionContext,
     Partitioner,
-    evaluate_partition,
+    dag_makespan,
 )
 from repro.core.scheduler import EagerScheduler, ScheduleDecision, Scheduler
 from repro.device.ue import DeviceSpec, UserEquipment
@@ -42,7 +42,11 @@ from repro.network.link import NetworkPath
 from repro.network.profiles import cloud_path, profile as connectivity_profile
 from repro.profiling.profiler import DemandObservation, Profiler
 from repro.faults.policy import DegradationPolicy
-from repro.serverless.function import FunctionSpec, InvocationRequest
+from repro.serverless.function import (
+    FunctionSpec,
+    InvocationRequest,
+    execution_time,
+)
 from repro.serverless.retry import (
     RetriesExhaustedError,
     RetryPolicy,
@@ -386,6 +390,15 @@ class OffloadController:
         self._hold_local_until: float = 0.0
         self.plan_rate_overrides: Dict[str, float] = {}
         self.memory_floor_mb: float = 0.0
+        #: Per-job process names, built once: ``_job_body`` spawns one
+        #: process per flow and per component of every job.
+        self._edge_spawns = [
+            (flow.src, flow.dst, f"edge.{flow.src}->{flow.dst}")
+            for flow in app.flows
+        ]
+        self._component_spawns = [
+            (name, f"comp.{name}") for name in app.component_names
+        ]
 
     @property
     def planned_input_mb(self) -> float:
@@ -562,29 +575,75 @@ class OffloadController:
         Uses the DAG makespan of the current plan plus one cold start per
         cloud component — conservative, which is what deadline math wants.
         ``frequency_fraction`` scales the UE speed (DVFS planning).
-        """
-        from dataclasses import replace as _replace
 
+        Only the makespan is computed: the node durations and edge delays
+        are the ones :func:`evaluate_partition` would derive from
+        :meth:`build_context` (same float operations, same
+        ``_usable_rate`` calls, same input checks) and go through the
+        same :func:`dag_makespan`, without pricing energy, cost or the
+        objective.
+        """
         if self.partition is None:
             self.plan(job.input_mb)
-        assert self.partition is not None
-        context = self.build_context(job.input_mb)
+        partition = self.partition
+        assert partition is not None
+        app = self.app
+        env = self.env
+        input_mb = job.input_mb
+        names = app.component_names
+        predict = self.demand.predict
+        work = {name: predict(name, input_mb) for name in names}
+        uplink_bps = self._usable_rate(env.uplink, "uplink")
+        downlink_bps = self._usable_rate(env.downlink, "downlink")
+        if min(uplink_bps, downlink_bps) <= 0:
+            raise ValueError("link rates must be > 0")
+        ue_cycles_per_second = env.ue.spec.cycles_per_second
         if frequency_fraction != 1.0:
-            context = _replace(
-                context,
-                ue_cycles_per_second=(
-                    context.ue_cycles_per_second * frequency_fraction
-                ),
-            )
-        evaluation = evaluate_partition(context, self.partition)
+            ue_cycles_per_second = ue_cycles_per_second * frequency_fraction
+        if ue_cycles_per_second <= 0:
+            raise ValueError("UE speed must be > 0")
+        partition.validate(app)
+
+        cloud = partition.cloud
+        allocation = self.allocation
+        node_duration: Dict[str, float] = {}
+        for name in names:
+            if name in cloud:
+                decision = allocation.get(name)
+                node_duration[name] = execution_time(
+                    work[name],
+                    (
+                        decision.memory_mb
+                        if decision is not None
+                        else PartitionContext.default_memory_mb
+                    ),
+                    app.component(name).parallel_fraction,
+                )
+            else:
+                node_duration[name] = work[name] * 1e9 / ue_cycles_per_second
+        edge_delay: Dict[Tuple[str, str], float] = {}
+        for flow in app.flows:
+            src_cloud = flow.src in cloud
+            if src_cloud == (flow.dst in cloud):
+                seconds = 0.0
+            elif src_cloud:
+                seconds = env.downlink.total_latency_s + (
+                    flow.bytes_for(input_mb) / downlink_bps
+                )
+            else:
+                seconds = env.uplink.total_latency_s + (
+                    flow.bytes_for(input_mb) / uplink_bps
+                )
+            edge_delay[(flow.src, flow.dst)] = seconds
+        makespan = dag_makespan(app, node_duration, edge_delay)
+
+        platform = env.platform
         cold_allowance = sum(
-            self.env.platform.config.cold_start_duration(
-                self.env.platform.spec(self._function_name(name))
-            )
-            for name in self.partition.cloud
-            if self.env.platform.is_deployed(self._function_name(name))
+            platform.config.cold_start_duration(platform.spec(function))
+            for function in map(self._function_name, cloud)
+            if platform.is_deployed(function)
         )
-        return evaluation.makespan_s + cold_allowance
+        return makespan + cold_allowance
 
     def select_frequency(self, job: Job, now: float) -> float:
         """Lowest DVFS point that still meets the deadline with the
@@ -693,6 +752,8 @@ class OffloadController:
             # snapshot below.
             partition = Partition.local_only(self.app)
         app = self.app
+        cloud = partition.cloud
+        tag = f"job{job.job_id}"
         energy_j = 0.0
         energy_breakdown: Dict[str, float] = {}
         cost_usd = 0.0
@@ -718,7 +779,8 @@ class OffloadController:
             nominal = job.component_work(name)
             actual = self.env.actual_work(nominal, self._exec_rng)
             observed_gcycles: Optional[float] = None
-            tier = "cloud" if partition.is_cloud(name) else "local"
+            on_cloud = name in cloud
+            tier = "cloud" if on_cloud else "local"
             comp_span = tracer.start_span(
                 name,
                 category=PHASE_COMPONENT,
@@ -730,12 +792,12 @@ class OffloadController:
                 tracer.metrics.counter(
                     "components_total", app=app.name, tier=tier
                 ).increment()
-            if partition.is_cloud(name):
+            if on_cloud:
                 request = InvocationRequest(
                     function=self._function_name(name),
                     work_gcycles=actual,
                     payload_bytes=0.0,
-                    tag=f"job{job.job_id}",
+                    tag=tag,
                     trace_parent=comp_span if tracer.enabled else None,
                 )
                 if self.degradation is None:
@@ -802,14 +864,20 @@ class OffloadController:
             finish_times[name] = sim.now
             component_done[name].succeed(None)
 
-        def edge_proc(src: str, dst: str) -> Generator[Event, Any, None]:
+        def edge_proc(
+            src: str, dst: str, done: Event
+        ) -> Generator[Event, Any, None]:
             nonlocal cost_usd
             yield component_done[src]
-            src_cloud = partition.is_cloud(src)
-            dst_cloud = partition.is_cloud(dst)
+            src_cloud = src in cloud
+            dst_cloud = dst in cloud
             store = self.env.storage
+            if src_cloud == dst_cloud and (store is None or not src_cloud):
+                # Nothing crosses the radio and nothing is staged.
+                done.succeed(None)
+                return
             nbytes = job.flow_bytes(src, dst)
-            key = f"job{job.job_id}/{src}->{dst}"
+            key = f"{tag}/{src}->{dst}"
             if not src_cloud and dst_cloud:
                 # UE uploads; with a store the payload is staged there.
                 up_span = tracer.start_span(
@@ -892,17 +960,15 @@ class OffloadController:
                     + store.pricing.transfer_cost(nbytes, external=False)
                 )
                 store.delete(key)
-            edge_done[(src, dst)].succeed(None)
+            done.succeed(None)
 
+        spawn = sim.spawn
         processes = []
-        for flow in app.flows:
-            edge_done[(flow.src, flow.dst)] = sim.event()
-        for flow in app.flows:
-            processes.append(
-                sim.spawn(edge_proc(flow.src, flow.dst), name=f"edge.{flow.src}->{flow.dst}")
-            )
-        for name in app.component_names:
-            processes.append(sim.spawn(component_proc(name), name=f"comp.{name}"))
+        for src, dst, process_name in self._edge_spawns:
+            done = edge_done[(src, dst)] = sim.event()
+            processes.append(spawn(edge_proc(src, dst, done), process_name))
+        for name, process_name in self._component_spawns:
+            processes.append(spawn(component_proc(name), process_name))
         yield sim.all_of(processes)
 
         for observation in observations:

@@ -242,6 +242,27 @@ class PartitionEvaluation:
         return at_least and strictly
 
 
+def dag_makespan(
+    app: AppGraph,
+    node_duration: Dict[str, float],
+    edge_delay: Dict[Tuple[str, str], float],
+) -> float:
+    """Critical-path length of ``app`` with independent components in
+    parallel: a component starts once every predecessor has finished and
+    its edge has delivered.
+
+    The one makespan loop: :func:`evaluate_partition` and the controller's
+    completion estimate both call it, so the two agree bit for bit.
+    """
+    finish: Dict[str, float] = {}
+    for name in app.component_names:  # already topological
+        ready = 0.0
+        for pred in app.predecessors(name):
+            ready = max(ready, finish[pred] + edge_delay[(pred, name)])
+        finish[name] = ready + node_duration[name]
+    return max(finish.values()) if finish else 0.0
+
+
 def evaluate_partition(
     ctx: PartitionContext, partition: Partition
 ) -> PartitionEvaluation:
@@ -281,15 +302,7 @@ def evaluate_partition(
         energy += joules
         cost += ctx.edge_money(flow.src, flow.dst, src_cloud, dst_cloud)
 
-    # DAG critical path (parallel execution of independent components).
-    finish: Dict[str, float] = {}
-    for name in app.component_names:  # already topological
-        ready = 0.0
-        for pred in app.predecessors(name):
-            ready = max(ready, finish[pred] + edge_delay[(pred, name)])
-        finish[name] = ready + node_duration[name]
-    makespan = max(finish.values()) if finish else 0.0
-
+    makespan = dag_makespan(app, node_duration, edge_delay)
     objective = ctx.weights.combine(serialized, energy, cost)
     return PartitionEvaluation(
         partition=partition,

@@ -115,6 +115,21 @@ class UserEquipment:
             init=self.spec.battery_capacity_j,
         )
 
+    @property
+    def spec(self) -> DeviceSpec:
+        """The device's hardware; assigning one refreshes the cached
+        metric and process names derived from its ``name``."""
+        return self._spec
+
+    @spec.setter
+    def spec(self, value: DeviceSpec) -> None:
+        self._spec = value
+        name = value.name
+        # Formatted once per spec, not on every execution or transfer.
+        self._exec_name = f"{name}.exec"
+        self._energy_metric = f"{name}.energy_j"
+        self._latency_metric = f"{name}.exec_latency_s"
+
     # -- battery ------------------------------------------------------------
 
     @property
@@ -140,7 +155,7 @@ class UserEquipment:
                 f"had {remaining:.1f} J"
             )
         self._battery.get(joules)
-        self.metrics.counter(f"{self.spec.name}.energy_j").increment(joules)
+        self.metrics.counter(self._energy_metric).increment(joules)
 
     def brownout(self, fraction: float) -> None:
         """Instantly lose ``fraction`` of the *remaining* charge.
@@ -188,29 +203,31 @@ class UserEquipment:
         """
         return self.sim.spawn(
             self._execute_proc(work_gcycles, frequency_fraction),
-            name=f"{self.spec.name}.exec",
+            self._exec_name,
         )
 
     def _execute_proc(
         self, work_gcycles: float, frequency_fraction: float = 1.0
     ) -> Generator[Event, object, LocalExecution]:
-        started = self.sim.now
+        sim = self.sim
+        started = sim.now
         request = self._cpu.request()
         yield request
         try:
-            duration = self.spec.execution_time(work_gcycles, frequency_fraction)
-            yield self.sim.timeout(duration)
-            energy = self.spec.compute_energy_j(work_gcycles, frequency_fraction)
+            spec = self._spec
+            duration = spec.execution_time(work_gcycles, frequency_fraction)
+            yield sim.timeout(duration)
+            energy = spec.compute_energy_j(work_gcycles, frequency_fraction)
             self._drain(energy)
         finally:
             self._cpu.release(request)
         record = LocalExecution(
             work_gcycles=work_gcycles,
             started_at=started,
-            finished_at=self.sim.now,
+            finished_at=sim.now,
             energy_j=energy,
         )
-        self.metrics.summary(f"{self.spec.name}.exec_latency_s").observe(record.latency)
+        self.metrics.summary(self._latency_metric).observe(record.latency)
         return record
 
     # -- radio ----------------------------------------------------------------

@@ -7,6 +7,9 @@ import math
 from typing import Dict, Iterable, List, Mapping, Optional
 
 
+_isfinite = math.isfinite
+
+
 def _require_finite(name: str, value: float, what: str = "value") -> float:
     """Reject NaN/inf before they poison a collector.
 
@@ -33,7 +36,12 @@ class Counter:
 
     def increment(self, amount: float = 1.0) -> None:
         """Add ``amount`` (must be finite and non-negative) to the total."""
-        amount = _require_finite(self.name, amount, "increment")
+        # ``_require_finite`` inlined: this is on every job's hot path.
+        amount = float(amount)
+        if not _isfinite(amount):
+            raise ValueError(
+                f"{self.name!r}: increment must be finite, got {amount}"
+            )
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease (got {amount})")
         self._value += amount
@@ -82,7 +90,12 @@ class Summary:
 
     def observe(self, value: float) -> None:
         """Record one (finite) observation."""
-        value = _require_finite(self.name, value, "observation")
+        # ``_require_finite`` inlined: this is on every job's hot path.
+        value = float(value)
+        if not _isfinite(value):
+            raise ValueError(
+                f"{self.name!r}: observation must be finite, got {value}"
+            )
         self._samples.append(value)
         self._sorted = None
         self._sum += value
@@ -215,9 +228,10 @@ class MetricRegistry:
 
     def counter(self, name: str) -> Counter:
         """Get or create the counter registered under ``name``."""
-        if name not in self._counters:
-            self._counters[name] = Counter(name)
-        return self._counters[name]
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = Counter(name)
+        return counter
 
     def gauge(self, name: str, initial: float = 0.0) -> Gauge:
         """Get or create the gauge registered under ``name``."""
@@ -227,9 +241,10 @@ class MetricRegistry:
 
     def summary(self, name: str) -> Summary:
         """Get or create the summary registered under ``name``."""
-        if name not in self._summaries:
-            self._summaries[name] = Summary(name)
-        return self._summaries[name]
+        summary = self._summaries.get(name)
+        if summary is None:
+            summary = self._summaries[name] = Summary(name)
+        return summary
 
     def time_average(
         self, name: str, initial: float = 0.0, start_time: float = 0.0

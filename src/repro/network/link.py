@@ -92,6 +92,20 @@ class Link:
         self._channels = Resource(sim, capacity=channels)
 
     @property
+    def name(self) -> str:
+        """Used in metric keys; assigning one refreshes the cached keys."""
+        return self._name
+
+    @name.setter
+    def name(self, value: str) -> None:
+        self._name = value
+        # Formatted once per name, not on every transfer.
+        self._xfer_name = f"{value}.xfer"
+        self._metric_names = (
+            f"{value}.transfers", f"{value}.bytes", f"{value}.duration_s"
+        )
+
+    @property
     def trace(self) -> BandwidthTrace:
         """The bandwidth signal; assigning one refreshes the fast path."""
         return self._trace
@@ -151,32 +165,35 @@ class Link:
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        return self.sim.spawn(self._transfer_proc(nbytes), name=f"{self.name}.xfer")
+        return self.sim.spawn(self._transfer_proc(nbytes), self._xfer_name)
 
     def _transfer_proc(
         self, nbytes: float
     ) -> Generator[Event, object, TransferResult]:
-        started = self.sim.now
+        sim = self.sim
+        started = sim.now
         request = self._channels.request()
         yield request
         try:
             payload = nbytes + self.per_request_overhead_bytes
             rate = self._const_rate
+            now = sim.now
             if rate is not None and payload > 0:
                 # Same float round-trip as ConstantBandwidth.transfer_time
                 # so transfer durations stay byte-identical in traces.
-                now = self.sim.now
                 serialisation = (now + payload / rate) - now
             else:
-                serialisation = self._trace.transfer_time(self.sim.now, payload)
+                serialisation = self._trace.transfer_time(now, payload)
             active = serialisation + self.latency_s
-            yield self.sim.timeout(active)
+            yield sim.timeout(active)
         finally:
             self._channels.release(request)
-        finished = self.sim.now
-        self.metrics.counter(f"{self.name}.transfers").increment()
-        self.metrics.counter(f"{self.name}.bytes").increment(nbytes)
-        self.metrics.summary(f"{self.name}.duration_s").observe(finished - started)
+        finished = sim.now
+        metrics = self.metrics
+        transfers, nbytes_name, duration_s = self._metric_names
+        metrics.counter(transfers).increment()
+        metrics.counter(nbytes_name).increment(nbytes)
+        metrics.summary(duration_s).observe(finished - started)
         return TransferResult(
             bytes=nbytes,
             started_at=started,

@@ -215,6 +215,24 @@ class ServerlessPlatform:
         #: identically).
         self.faults = None
 
+    @property
+    def name(self) -> str:
+        """Prefix of every metric (and process name) this platform emits."""
+        return self._name
+
+    @name.setter
+    def name(self, value: str) -> None:
+        self._name = value
+        # The per-invocation metric names, built once per name rather
+        # than formatted on every completed invocation.
+        self._record_names = (
+            f"{value}.invocations",
+            f"{value}.cold_starts",
+            f"{value}.cost_usd",
+            f"{value}.latency_s",
+            f"{value}.queue_delay_s",
+        )
+
     # -- deployment -----------------------------------------------------------
 
     def deploy(self, spec: FunctionSpec) -> None:
@@ -306,13 +324,14 @@ class ServerlessPlatform:
             )
             raise PlatformOutageError(request.function)
 
-        instance = state.idle_instance(sim.now, self.config.keep_alive_s)
+        # No yield yet, so the clock still reads ``submitted_at``.
+        instance = state.idle_instance(submitted_at, self.config.keep_alive_s)
         cold = False
         if instance is not None:
             instance.busy = True
         elif len(state.instances) < limit:
             cold = True
-            instance = _Instance(sim.now)
+            instance = _Instance(submitted_at)
             state.instances.append(instance)
             cold_span = tracer.start_span(
                 request.function,
@@ -356,8 +375,9 @@ class ServerlessPlatform:
                 cold=str(cold).lower(),
             ).increment()
 
-        if self.faults is not None:
-            slowdown = self.faults.slowdown_factor(started_at)
+        faults = self.faults
+        if faults is not None:
+            slowdown = faults.slowdown_factor(started_at)
             if slowdown > 1.0:
                 duration *= slowdown
                 self.metrics.counter(f"{self.name}.straggler_slowdowns").increment()
@@ -386,8 +406,8 @@ class ServerlessPlatform:
                 request.function, ran_for, partial.total
             )
 
-        if self.faults is not None:
-            reclaim_at = self.faults.reclaim_time(started_at, duration)
+        if faults is not None:
+            reclaim_at = faults.reclaim_time(started_at, duration)
             if reclaim_at is not None:
                 # The sandbox is reclaimed mid-run: partial runtime bills,
                 # but the sandbox is destroyed, not returned to the pool.
@@ -417,7 +437,8 @@ class ServerlessPlatform:
         self._release_instance(state, instance)
         tracer.end_span(exec_span)
 
-        cost = self.config.billing.invocation_cost(duration, spec.memory_mb)
+        billing = self.config.billing
+        cost = billing.invocation_cost(duration, spec.memory_mb)
         state.cost = state.cost + cost
         record = Invocation(
             request=request,
@@ -426,7 +447,7 @@ class ServerlessPlatform:
             finished_at=finished_at,
             cold_start=cold,
             memory_mb=spec.memory_mb,
-            billed_duration_s=self.config.billing.billed_duration(duration),
+            billed_duration_s=billing.billed_duration(duration),
             cost=cost.total,
         )
         self._record(record)
@@ -533,12 +554,15 @@ class ServerlessPlatform:
     def _record(self, inv: Invocation) -> None:
         self._invocations.append(inv)
         m = self.metrics
-        m.counter(f"{self.name}.invocations").increment()
+        invocations, cold_starts, cost_usd, latency_s, queue_delay_s = (
+            self._record_names
+        )
+        m.counter(invocations).increment()
         if inv.cold_start:
-            m.counter(f"{self.name}.cold_starts").increment()
-        m.counter(f"{self.name}.cost_usd").increment(inv.cost)
-        m.summary(f"{self.name}.latency_s").observe(inv.latency)
-        m.summary(f"{self.name}.queue_delay_s").observe(inv.queue_delay)
+            m.counter(cold_starts).increment()
+        m.counter(cost_usd).increment(inv.cost)
+        m.summary(latency_s).observe(inv.latency)
+        m.summary(queue_delay_s).observe(inv.queue_delay)
 
     @property
     def invocations(self) -> List[Invocation]:

@@ -635,7 +635,7 @@ heap_pop_entry(PyObject *heap)
 /* ====================================================================== */
 
 /* Dispatch one popped item; exact-type C events inline, everything else
- * (subclasses, _Bootstrap/_Throw records, pure-Python events) through the
+ * (subclasses such as Process, _Throw records, pure-Python events) through the
  * _run_callbacks method. */
 static int
 dispatch(PyObject *event)

@@ -160,11 +160,13 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"timeout delay must be >= 0, got {delay}")
-        super().__init__(sim)
-        self.delay = delay
-        # A fresh event is always pending, so the trigger guard is
-        # unnecessary; ``_ok`` is already True.
+        # The Event fields are set directly (hot constructor).  A timeout
+        # is born triggered: ``_value`` holds its value from the start.
+        self.sim = sim
+        self.callbacks = []
         self._value = value
+        self._ok = True
+        self.delay = delay
         if delay == 0:
             # Zero-delay fast path: skip the ``_enqueue_at`` clock
             # comparison — ``now + 0.0 == now`` routes to the fast lane
@@ -172,7 +174,8 @@ class Timeout(Event):
             self._scheduled = True
             sim._fast.append(self)
         else:
-            sim._enqueue_at(sim.now + delay, self)
+            self._scheduled = False
+            sim._enqueue_at(sim._now + delay, self)
 
 
 class _Condition(Event):
@@ -181,7 +184,11 @@ class _Condition(Event):
     __slots__ = ("events", "_remaining")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim)
+        self.sim = sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._scheduled = False
         self.events: Sequence[Event] = tuple(events)
         for event in self.events:
             if event.sim is not sim:
@@ -190,14 +197,19 @@ class _Condition(Event):
         if not self.events:
             self.succeed(self._collect())
             return
+        on_child = self._on_child
         for event in self.events:
-            if event.processed:
-                self._on_child(event)
+            callbacks = event.callbacks
+            if callbacks is None:  # already processed
+                on_child(event)
             else:
-                event.callbacks.append(self._on_child)
+                callbacks.append(on_child)
 
     def _collect(self) -> dict[Event, Any]:
-        return {e: e.value for e in self.events if e.triggered and e.ok}
+        return {
+            e: e._value for e in self.events
+            if e._value is not _PENDING and e._ok
+        }
 
     def _on_child(self, event: Event) -> None:
         raise NotImplementedError
@@ -213,10 +225,10 @@ class AllOf(_Condition):
     __slots__ = ()
 
     def _on_child(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
-        if not event.ok:
-            self.fail(event.value)
+        if not event._ok:
+            self.fail(event._value)
             return
         self._remaining -= 1
         if self._remaining == 0:
@@ -234,14 +246,14 @@ class AnyOf(_Condition):
     __slots__ = ()
 
     def _on_child(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
-        if event.ok:
+        if event._ok:
             self.succeed(self._collect())
             return
         self._remaining -= 1
         if self._remaining == 0:
-            self.fail(event.value)
+            self.fail(event._value)
 
 
 __all__ = [

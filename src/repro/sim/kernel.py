@@ -4,7 +4,7 @@ The :class:`Simulator` owns two pending-event structures:
 
 * an **immediate fast lane** — a FIFO deque of items scheduled at exactly
   the current time.  Triggered events (``succeed``/``fail``), process
-  bootstraps, interrupts and zero-delay timeouts all land here, which is
+  starts, interrupts and zero-delay timeouts all land here, which is
   the dominant case in offloading workloads; the deque avoids the heap's
   tuple allocation and sift cost entirely.
 * a binary heap of ``[time, sequence, event]`` entries for future events.
@@ -41,13 +41,14 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from types import GeneratorType as _GeneratorType
 from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.perf.meter import RuntimeMeter
 from repro.sim._core import ACTIVE as _ACTIVE_CORE
 from repro.sim._core import CKERNEL as _CKERNEL
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.sim.events import _PENDING, AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.telemetry.tracer import NULL_TRACER
 
 
@@ -69,22 +70,9 @@ else:
 #: compiled-loop simulators in-process regardless of REPRO_SIM_CORE.
 _FAST_LANE_FACTORY = _C_FAST if _ACTIVE_CORE == "compiled" else deque
 
-
-class _Bootstrap:
-    """Fast-lane record that starts a freshly spawned process.
-
-    Dispatches like an event (one kernel step, one ``events_processed``
-    tick) but costs a single two-word allocation instead of an
-    :class:`Event` plus its callback list.
-    """
-
-    __slots__ = ("process",)
-
-    def __init__(self, process: "Process") -> None:
-        self.process = process
-
-    def _run_callbacks(self) -> None:
-        self.process._start()
+#: ``Process._waiting_on`` until the first dispatch has started the
+#: generator; it tells the start dispatch from the joiner notification.
+_UNSTARTED = object()
 
 
 class _Throw:
@@ -127,6 +115,13 @@ class Process(Event):
     The process event triggers when the underlying generator returns
     (successfully, with the ``return`` value) or raises (failed, with the
     exception).  Other processes may ``yield`` a process to join it.
+
+    A process is its own start record: ``__init__`` appends the process
+    itself to the fast lane, and its first dispatch (``_waiting_on`` is
+    still :data:`_UNSTARTED`) runs the generator to its first yield.  The
+    start still costs one kernel step and one ``events_processed`` tick,
+    so event counts are unchanged, but no separate record is allocated.
+    Any later dispatch is the ordinary one that notifies joiners.
     """
 
     __slots__ = ("generator", "name", "_waiting_on")
@@ -137,23 +132,32 @@ class Process(Event):
         generator: Generator[Event, Any, Any],
         name: Optional[str] = None,
     ) -> None:
-        super().__init__(sim)
-        if not hasattr(generator, "send"):
+        # The Event fields are set here rather than through
+        # ``Event.__init__``: spawning is the kernel's hottest constructor.
+        if type(generator) is _GeneratorType:
+            self.name = name or generator.__name__
+        elif hasattr(generator, "send"):
+            self.name = name or getattr(generator, "__name__", "process")
+        else:
             raise TypeError(
                 f"Process requires a generator, got {type(generator).__name__}; "
                 "did you forget to call the process function?"
             )
+        self.sim = sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._scheduled = False
         self.generator = generator
-        self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
-        # Kick the process off via an immediately-dispatched record so that
-        # spawn() never runs user code synchronously.
-        sim._fast.append(_Bootstrap(self))
+        self._waiting_on = _UNSTARTED
+        # Kick the process off on the next dispatch so that spawn() never
+        # runs user code synchronously.
+        sim._fast.append(self)
 
     @property
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
-        return not self.triggered
+        return self._value is _PENDING
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
@@ -161,17 +165,25 @@ class Process(Event):
         Interrupting a finished process is a silent no-op, mirroring the
         semantics of POSIX signal delivery to an exited task.
         """
-        if self.triggered:
+        if self._value is not _PENDING:
             return
         self.sim._fast.append(_Throw(self, Interrupt(cause)))
 
     # -- internals ----------------------------------------------------------
 
-    def _start(self) -> None:
-        """First resume: send ``None`` into the fresh generator."""
-        if self.triggered:
+    def _run_callbacks(self) -> None:
+        if self._waiting_on is not _UNSTARTED:
+            # The process has finished: notify whoever joined it.
+            callbacks = self.callbacks
+            self.callbacks = None  # type: ignore[assignment]
+            for callback in callbacks:
+                callback(self)
             return
+        # First dispatch: send ``None`` into the fresh generator, unless
+        # the process was triggered from outside before it ever ran.
         self._waiting_on = None
+        if self._value is not _PENDING:
+            return
         try:
             target = self.generator.send(None)
         except StopIteration as stop:
@@ -180,10 +192,17 @@ class Process(Event):
         except BaseException as exc:  # noqa: BLE001 - process death is a result
             self.fail(exc)
             return
+        if isinstance(target, Event):
+            # Inlined common case of ``_wait_on``: a still-pending event.
+            callbacks = target.callbacks
+            if callbacks is not None:
+                callbacks.append(self._resume)
+                self._waiting_on = target
+                return
         self._wait_on(target)
 
     def _resume(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
         self._waiting_on = None
         try:
@@ -197,13 +216,20 @@ class Process(Event):
         except BaseException as exc:  # noqa: BLE001 - process death is a result
             self.fail(exc)
             return
+        if isinstance(target, Event):
+            # Inlined common case of ``_wait_on``: a still-pending event.
+            callbacks = target.callbacks
+            if callbacks is not None:
+                callbacks.append(self._resume)
+                self._waiting_on = target
+                return
         self._wait_on(target)
 
     def _throw(self, exc: BaseException) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
         waiting = self._waiting_on
-        if waiting is not None and not waiting.processed:
+        if waiting is not None and waiting.callbacks is not None:
             # Detach from whatever we were waiting on: when it eventually
             # fires it must not resume us a second time.
             try:
@@ -227,23 +253,24 @@ class Process(Event):
                 f"process {self.name!r} yielded {target!r}; "
                 "processes must yield Event instances"
             )
-        if target.processed:
-            # The event already fired; resume on the next kernel step.  The
-            # relay is tracked as ``_waiting_on`` and delivers through
-            # ``_resume`` for success *and* failure, so an interrupt arriving
-            # before the relay fires can detach it — otherwise the stale
-            # outcome would be delivered a second time at the process's next
-            # yield point.
-            relay = Event(self.sim)
-            relay.callbacks.append(self._resume)
-            if target._ok:
-                relay.succeed(target._value)
-            else:
-                relay.fail(target._value)
-            self._waiting_on = relay
-        else:
-            target.callbacks.append(self._resume)
+        callbacks = target.callbacks
+        if callbacks is not None:
+            callbacks.append(self._resume)
             self._waiting_on = target
+            return
+        # The event already fired; resume on the next kernel step.  The
+        # relay is tracked as ``_waiting_on`` and delivers through
+        # ``_resume`` for success *and* failure, so an interrupt arriving
+        # before the relay fires can detach it — otherwise the stale
+        # outcome would be delivered a second time at the process's next
+        # yield point.
+        relay = Event(self.sim)
+        relay.callbacks.append(self._resume)
+        if target._ok:
+            relay.succeed(target._value)
+        else:
+            relay.fail(target._value)
+        self._waiting_on = relay
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.is_alive else ("ok" if self.ok else "failed")
@@ -273,9 +300,9 @@ class Simulator:
         self._now = float(start)
         self._heap: list[list] = []
         #: Immediate fast lane: FIFO of items scheduled at exactly
-        #: ``self._now``.  Holds events plus the lightweight dispatch
-        #: records (:class:`_Bootstrap`, :class:`_Throw`); everything in
-        #: it responds to ``_run_callbacks``.  A ``deque`` on the pure
+        #: ``self._now``.  Holds events (a fresh :class:`Process` is its
+        #: own start record) plus :class:`_Throw` interrupt records;
+        #: everything in it responds to ``_run_callbacks``.  A ``deque`` on the pure
         #: core, a ``_ckernel.FastLane`` on the compiled core.
         self._fast = _FAST_LANE_FACTORY()
         self._sequence = 0
@@ -333,7 +360,7 @@ class Simulator:
         name: Optional[str] = None,
     ) -> Process:
         """Start a new process from ``generator`` and return its handle."""
-        return Process(self, generator, name=name)
+        return Process(self, generator, name)
 
     # Alias familiar to SimPy users.
     process = spawn

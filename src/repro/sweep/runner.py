@@ -257,14 +257,24 @@ class SweepRunner:
         meter.sweep_cache_misses += len(pending)
 
         if pending:
+            pending_by_key = {
+                key: (digest, config) for key, digest, config in pending
+            }
+
+            def _completed(key: str, result: Any) -> None:
+                # Cache each cell as it completes: a later cell that
+                # raises must not lose the work already done.
+                digest, config = pending_by_key[key]
+                self._cache_store(digest, config, result)
+                _notify(key, result, False)
+
             fresh = self._execute(
                 ref,
                 [config for _, _, config in pending],
-                on_result=lambda key, result: _notify(key, result, False),
+                on_result=_completed,
             )
-            for key, digest, config in pending:
+            for key, _, _ in pending:
                 results[key] = fresh[key]
-                self._cache_store(digest, config, fresh[key])
 
         entries = [
             SweepEntry(

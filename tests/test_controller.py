@@ -1,8 +1,11 @@
 """Tests for the end-to-end offloading controller."""
 
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     DeadlineBatcher,
@@ -13,8 +16,10 @@ from repro import (
     OffloadController,
     photo_backup_app,
 )
-from repro.core.partitioning import FixedPartitioner, Partition
+from repro.core.allocation import AllocationDecision
+from repro.core.partitioning import FixedPartitioner, Partition, evaluate_partition
 from repro.device.ue import DeviceSpec
+from repro.traces.bandwidth import ConstantBandwidth, StepBandwidth
 
 
 def make_controller(seed=0, app=None, **kwargs):
@@ -135,6 +140,104 @@ class TestPlanAllocationSkip:
             }
 
         assert deployed(planned) == deployed(forced)
+
+
+class TestEstimateCompletion:
+    """``estimate_completion`` computes only the makespan; it must equal
+    the full ``evaluate_partition`` of ``build_context`` (UE speed scaled
+    by the DVFS fraction) plus the cold-start allowance, bit for bit."""
+
+    @staticmethod
+    def _reference(controller, job, fraction):
+        context = controller.build_context(job.input_mb)
+        context = replace(
+            context, ue_cycles_per_second=context.ue_cycles_per_second * fraction
+        )
+        partition = controller.partition
+        makespan = evaluate_partition(context, partition).makespan_s
+        platform = controller.env.platform
+        functions = [controller._function_name(name) for name in partition.cloud]
+        cold = sum(
+            platform.config.cold_start_duration(platform.spec(function))
+            for function in functions
+            if platform.is_deployed(function)
+        )
+        return makespan + cold
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 3),
+        cloud_mask=st.lists(st.booleans(), min_size=8, max_size=8),
+        keep_mask=st.lists(st.booleans(), min_size=8, max_size=8),
+        input_mb=st.floats(0.05, 64.0),
+        fraction=st.one_of(st.just(1.0), st.floats(0.1, 1.0)),
+        uplink_bps=st.floats(1e4, 1e8),
+        downlink_bps=st.floats(1e4, 1e8),
+        outage=st.sampled_from(["none", "held", "never-seen"]),
+    )
+    def test_matches_full_evaluation(
+        self, seed, cloud_mask, keep_mask, input_mb, fraction,
+        uplink_bps, downlink_bps, outage,
+    ):
+        controller = make_controller(seed=seed)
+        controller.profile_offline()
+        controller.plan(input_mb=4.0)
+        env = controller.env
+        app = controller.app
+        offloadable = app.offloadable_names()
+        cloud = frozenset(
+            name for name, on in zip(offloadable, cloud_mask) if on
+        )
+        controller.partition = Partition(app.name, cloud)
+        # Some cloud components keep a planned size, the rest fall back
+        # to the context's default memory.
+        controller.allocation = {
+            name: AllocationDecision(name, 512.0 + 256.0 * i, 1.0, 1e-6)
+            for i, (name, keep) in enumerate(zip(offloadable, keep_mask))
+            if keep
+        }
+        env.uplink.links[0].trace = ConstantBandwidth(uplink_bps)
+        env.downlink.links[0].trace = ConstantBandwidth(downlink_bps)
+        job = Job(app, input_mb=input_mb)
+        if outage == "held":
+            controller.estimate_completion(job)  # remembers the live rate
+        elif outage == "never-seen":
+            controller._last_rates.clear()  # planning saw the link up
+        if outage != "none":
+            env.uplink.links[0].trace = StepBandwidth([(0.0, 0.0)])
+
+        calls = []
+        usable_rate = controller._usable_rate
+
+        def recording(path, key):
+            rate = usable_rate(path, key)
+            calls.append((key, rate))
+            return rate
+
+        controller._usable_rate = recording
+        estimate = controller.estimate_completion(job, fraction)
+        estimate_calls, calls[:] = list(calls), []
+        expected = self._reference(controller, job, fraction)
+        assert estimate.hex() == expected.hex()
+        # The same rate lookups, in the same order, as build_context.
+        assert estimate_calls == calls
+        if outage == "held":
+            assert calls[0] == ("uplink", controller._last_rates["uplink"])
+        elif outage == "never-seen":
+            assert calls[0] == ("uplink", 125.0)
+
+    def test_input_checks_kept(self):
+        controller = make_controller()
+        controller.profile_offline()
+        controller.plan(input_mb=4.0)
+        job = Job(controller.app, input_mb=4.0)
+        with pytest.raises(ValueError, match="UE speed must be > 0"):
+            controller.estimate_completion(job, 0.0)
+        controller.partition = Partition(
+            controller.app.name, frozenset({"capture"})
+        )
+        with pytest.raises(ValueError, match="non-offloadable"):
+            controller.estimate_completion(job)
 
 
 class TestExecution:

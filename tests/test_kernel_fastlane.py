@@ -5,7 +5,8 @@ immediate FIFO fast lane and the time heap; its correctness claim is
 that dispatch order is *byte-identical* to the single-global-heap kernel
 it replaced (same ``(time, sequence)`` contract).  This suite runs
 randomly generated process programs — same-time and future timeouts,
-immediate succeeds, spawns, joins, interrupts, ``call_at`` callbacks —
+immediate succeeds, spawns, joins, interrupts (including one queued
+before a fresh process's first dispatch), ``call_at`` callbacks —
 on both kernels and requires identical execution logs, clocks, and
 event counts.
 
@@ -84,7 +85,10 @@ else:  # pragma: no cover - compiled core not built in this environment
 # Each op is (kind, arg); arg's meaning depends on the kind.
 OPS = st.tuples(
     st.sampled_from(
-        ["t0", "t0", "delay", "succeed", "spawn", "interrupt", "call_at"]
+        [
+            "t0", "t0", "delay", "succeed", "spawn", "interrupt", "call_at",
+            "fresh_interrupt",
+        ]
     ),
     st.integers(min_value=0, max_value=5),
 )
@@ -124,6 +128,14 @@ def _execute(sim_class, program):
                 elif kind == "interrupt":
                     roots[arg % len(roots)].interrupt(cause=(pid, index))
                     yield sim.timeout(0.0)
+                elif kind == "fresh_interrupt":
+                    # A process is its own start record: the interrupt
+                    # queues behind it, before its first dispatch.
+                    child_ops = [("delay", arg + 1)] if arg % 2 else [("t0", 0)]
+                    child = sim.spawn(body((pid, index), child_ops))
+                    child.interrupt(cause=(pid, index))
+                    result = yield child
+                    log.append(("join", pid, index, result, sim.now))
                 elif kind == "call_at":
                     sim.call_at(
                         sim.now + 0.5 * arg,

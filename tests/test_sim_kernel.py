@@ -5,11 +5,30 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim import Interrupt, SimulationError, Simulator
+from repro.sim._core import CKERNEL
 
 
 @pytest.fixture
 def sim():
     return Simulator()
+
+
+def _compiled_loop_simulator():
+    sim = Simulator()
+    sim._fast = CKERNEL.FastLane()  # run() then dispatches in C
+    return sim
+
+
+_CORES = [pytest.param(Simulator, id="pure-loop")]
+if CKERNEL is not None:
+    _CORES.append(pytest.param(_compiled_loop_simulator, id="compiled-loop"))
+
+
+@pytest.fixture(params=_CORES)
+def any_sim(request):
+    """A simulator on each available dispatch loop.  Under
+    ``REPRO_SIM_CORE=compiled`` the event types are the C ones as well."""
+    return request.param()
 
 
 class TestClock:
@@ -147,6 +166,124 @@ class TestProcess:
         process = sim.spawn(stuck(sim))
         with pytest.raises(SimulationError, match="deadlock"):
             sim.run(until=process)
+
+
+class TestProcessLifecycle:
+    """A spawned process is its own start record: these pin what that
+    must not change, on every dispatch loop."""
+
+    def test_interrupt_queued_before_first_dispatch(self, any_sim):
+        sim = any_sim
+        log = []
+
+        def proc(sim):
+            log.append(("started", sim.now))
+            try:
+                yield sim.timeout(5.0)
+            except Interrupt as interrupt:
+                log.append(("interrupted", interrupt.cause, sim.now))
+            # The interrupted 5 s timeout is detached: it must not cut
+            # this sleep short when it fires.
+            yield sim.timeout(10.0)
+            log.append(("slept", sim.now))
+            return "done"
+
+        process = sim.spawn(proc(sim))
+        process.interrupt("early")  # queued behind the start
+        assert sim.run(until=process) == "done"
+        assert log == [
+            ("started", 0.0), ("interrupted", "early", 0.0), ("slept", 10.0)
+        ]
+        # start, interrupt delivery, both timeouts, finish
+        assert sim.events_processed == 5
+
+    def test_joined_in_the_batch_it_was_spawned(self, any_sim):
+        sim = any_sim
+
+        def child(sim):
+            if False:  # pragma: no cover - a generator that never yields
+                yield sim.timeout(0)
+            return "child"
+
+        def parent(sim):
+            value = yield sim.spawn(child(sim))
+            return (sim.now, value)
+
+        process = sim.spawn(parent(sim))
+        assert sim.run(until=process) == (0.0, "child")
+        # parent start, child start, child finish, parent finish
+        assert sim.events_processed == 4
+
+    def test_joiners_before_and_after_the_start(self, any_sim):
+        sim = any_sim
+        seen = []
+
+        def worker(sim):
+            yield sim.timeout(0)
+            return 7
+
+        def joiner(sim, tag, target):
+            seen.append((tag, (yield target), sim.now))
+
+        target = sim.spawn(worker(sim))
+        sim.spawn(joiner(sim, "same-batch", target))
+        sim.run()
+        sim.spawn(joiner(sim, "late", target))
+        sim.run()
+        assert seen == [("same-batch", 7, 0.0), ("late", 7, 0.0)]
+
+    def test_is_alive_before_start(self, any_sim):
+        sim = any_sim
+
+        def proc(sim):
+            yield sim.timeout(1.0)
+
+        process = sim.spawn(proc(sim))
+        assert process.is_alive
+        assert not process.triggered
+        assert not process.processed
+        sim.run()
+        assert not process.is_alive
+        assert process.processed
+
+    def test_triggered_before_start_never_runs(self, any_sim):
+        sim = any_sim
+        ran = []
+
+        def proc(sim):
+            ran.append(True)
+            yield sim.timeout(1.0)
+
+        process = sim.spawn(proc(sim))
+        process.succeed("external")
+        assert sim.run(until=process) == "external"
+        assert ran == []
+        assert not process.is_alive
+
+    def test_non_generator_type_error_text(self, any_sim):
+        def not_a_generator():
+            return 42
+
+        with pytest.raises(
+            TypeError,
+            match=r"^Process requires a generator, got function; "
+            r"did you forget to call the process function\?$",
+        ):
+            any_sim.spawn(not_a_generator)  # type: ignore[arg-type]
+        with pytest.raises(TypeError, match="got int;"):
+            any_sim.spawn(42)  # type: ignore[arg-type]
+
+    def test_duck_typed_coroutine_accepted(self, any_sim):
+        class Once:
+            def send(self, value):
+                raise StopIteration("finished")
+
+            def throw(self, exc):  # pragma: no cover - never interrupted
+                raise exc
+
+        process = any_sim.spawn(Once())  # type: ignore[arg-type]
+        assert process.name == "process"
+        assert any_sim.run(until=process) == "finished"
 
 
 class TestInterruption:

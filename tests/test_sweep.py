@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 
 import pytest
 
@@ -22,6 +23,30 @@ KERNEL_SMOKE = "repro.sweep.scenarios:kernel_smoke"
 def double(config):
     """A trivial local scenario for in-process runner tests."""
     return {"doubled": config["x"] * 2, "tag": config.get("tag", "none")}
+
+
+#: Cells ``flaky`` has executed, and whether cell ``x == 2`` is broken.
+FLAKY_RUNS = []
+FLAKY_STATE = {"broken": True}
+
+
+def flaky(config):
+    """Fails on ``x == 2`` while broken; the cache key stays the same
+    once it is fixed, so a rerun can resume."""
+    FLAKY_RUNS.append(config["x"])
+    if config["x"] == 2 and FLAKY_STATE["broken"]:
+        raise RuntimeError("cell 2 is broken")
+    return {"x": config["x"]}
+
+
+def fail_on_two(config):
+    """Pool-path variant: cell 2 fails after the others have finished."""
+    if config["x"] == 2:
+        import time
+
+        time.sleep(0.3)
+        raise RuntimeError("cell 2 is broken")
+    return {"x": config["x"]}
 
 
 class TestCanonicalisation:
@@ -192,6 +217,39 @@ class TestSweepCache:
         rerun = SweepRunner(spec, cache_dir=tmp_path).run()
         assert rerun.executed == 1
         assert rerun.result_for({"x": 7})["doubled"] == 14
+
+    def test_failing_cell_keeps_completed_cells(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys.modules[__name__], "FLAKY_RUNS", [])
+        monkeypatch.setitem(FLAKY_STATE, "broken", True)
+        spec = SweepSpec(scenario=flaky, grid={"x": [0, 1, 2]})
+        with pytest.raises(RuntimeError, match="cell 2 is broken"):
+            SweepRunner(spec, cache_dir=tmp_path).run()
+        assert FLAKY_RUNS == [0, 1, 2]
+        cached = {
+            json.loads(path.read_text())["config"]["x"]
+            for path in tmp_path.glob("*.json")
+        }
+        assert cached == {0, 1}
+
+        FLAKY_STATE["broken"] = False
+        rerun = SweepRunner(spec, cache_dir=tmp_path).run()
+        assert FLAKY_RUNS == [0, 1, 2, 2]  # only the failed cell re-ran
+        assert (rerun.executed, rerun.cached) == (1, 2)
+        assert [rerun.result_for({"x": x}) for x in (0, 1, 2)] == [
+            {"x": 0}, {"x": 1}, {"x": 2}
+        ]
+
+    def test_failing_cell_keeps_completed_cells_in_a_pool(self, tmp_path):
+        spec = SweepSpec(
+            scenario="tests.test_sweep:fail_on_two", grid={"x": [0, 1, 2]}
+        )
+        with pytest.raises(RuntimeError, match="cell 2 is broken"):
+            SweepRunner(spec, workers=2, cache_dir=tmp_path).run()
+        cached = {
+            json.loads(path.read_text())["config"]["x"]
+            for path in tmp_path.glob("*.json")
+        }
+        assert cached == {0, 1}
 
     def test_no_cache_dir_means_no_files(self, tmp_path):
         SweepRunner(SweepSpec(scenario=double, grid={"x": [1]})).run()
