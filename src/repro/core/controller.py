@@ -19,7 +19,7 @@ model and the plan is recomputed every ``replan_every`` jobs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from time import perf_counter
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
@@ -72,6 +72,10 @@ from repro.telemetry.tracer import (
     PHASE_STAGE,
     PHASE_UPLOAD,
 )
+
+
+#: Field names of a planning context, in declaration order (the plan key).
+_CONTEXT_FIELDS = tuple(f.name for f in fields(PartitionContext))
 
 
 class Environment:
@@ -307,6 +311,11 @@ class ControllerReport:
 class OffloadController:
     """Runs one application under the paper's offloading framework."""
 
+    #: Plan memo shared by the controllers of one fleet (set per instance
+    #: by :class:`~repro.fleet.fleet.FleetController`): exact planning
+    #: inputs -> (partition, allocation).  None plans every call.
+    _plan_memo: Optional[Dict[tuple, tuple]] = None
+
     def __init__(
         self,
         env: Environment,
@@ -509,6 +518,13 @@ class OffloadController:
         Safe to call repeatedly: only functions whose memory changed are
         redeployed (a redeploy recycles the warm pool, so needless churn
         is avoided).
+
+        Under a :class:`~repro.fleet.fleet.FleetController` with a
+        stateless partitioner, the partition and allocation are looked
+        up by the exact planning inputs (the first planning context,
+        the SLO and the shared planners) and computed only on a miss.
+        A hit leaves the same state, trace span and meter count as a
+        miss: planning is a pure function of those inputs.
         """
         self._planned_input_mb = input_mb
         tracer = self.env.sim.tracer
@@ -517,10 +533,43 @@ class OffloadController:
         plan_span = tracer.start_span(
             "plan", category=PHASE_PLAN, app=self.app.name, input_mb=input_mb
         )
-        # First pass at default memory, then refine: the partition decides
-        # *what* runs in the cloud, the allocation decides *at which size*,
-        # and sizes feed back into partition economics.
         context = self.build_context(input_mb)
+        memo = self._plan_memo
+        if memo is None or not self.partitioner.stateless:
+            partition, allocation = self._partition_and_allocate(context)
+        else:
+            key = self._plan_key(context)
+            planned = memo.get(key)
+            if planned is None:
+                planned = memo[key] = self._partition_and_allocate(context)
+            partition, allocation = planned
+        self.partition = partition
+        self.allocation = dict(allocation)
+        self._deploy()
+        tracer.end_span(
+            plan_span,
+            n_cloud=len(partition.cloud),
+            n_local=len(self.app.component_names) - len(partition.cloud),
+        )
+        meter.plans_computed += 1
+        if meter.enabled:
+            meter.plan_wall_s += perf_counter() - plan_started
+        return partition
+
+    def _partition_and_allocate(
+        self, context: PartitionContext
+    ) -> Tuple[Partition, Dict[str, AllocationDecision]]:
+        """Both planning passes from the first context.
+
+        Sets ``self.allocation`` (the second context reads it) and
+        ``self.partition`` on the way, so a failing re-allocation leaves
+        the state it always left.
+        """
+        # First pass at the current memory plan, then refine: the
+        # partition decides *what* runs in the cloud, the allocation
+        # decides *at which size*, and sizes feed back into partition
+        # economics.
+        input_mb = context.input_mb
         first = self.partitioner.partition(context)
         first.validate(self.app)
         self.allocation = self.allocator.allocate_app(
@@ -536,16 +585,25 @@ class OffloadController:
             self.allocation = self.allocator.allocate_app(
                 self.app, partition, self.demand, input_mb, self.latency_slo_s
             )
-        self._deploy()
-        tracer.end_span(
-            plan_span,
-            n_cloud=len(partition.cloud),
-            n_local=len(self.app.component_names) - len(partition.cloud),
-        )
-        meter.plans_computed += 1
-        if meter.enabled:
-            meter.plan_wall_s += perf_counter() - plan_started
-        return partition
+        return partition, self.allocation
+
+    def _plan_key(self, context: PartitionContext) -> tuple:
+        """Every input :meth:`_partition_and_allocate` reads.
+
+        The second context differs from the first only by the allocation
+        (derived here) and by link rates read again at the same instant,
+        which :meth:`_usable_rate` returns unchanged.  Demand enters
+        through ``work``: ``allocate_app`` predicts the same cloud
+        components at the same input size.  The planners and the app are
+        keyed by identity; weights and cost models by value.
+        """
+        key: list = [self.partitioner, self.allocator, self.latency_slo_s]
+        for name in _CONTEXT_FIELDS:
+            value = getattr(context, name)
+            key.append(
+                tuple(sorted(value.items())) if type(value) is dict else value
+            )
+        return tuple(key)
 
     def _function_name(self, component: str) -> str:
         return f"{self.function_prefix}{self.app.name}.{component}"

@@ -319,6 +319,11 @@ class Partitioner(ABC):
 
     name: str = "partitioner"
 
+    #: True when :meth:`partition` reads nothing but its context — no
+    #: random draws, no state carried between calls — so equal contexts
+    #: may share one result (a fleet plans each distinct input once).
+    stateless: bool = False
+
     @abstractmethod
     def partition(self, ctx: PartitionContext) -> Partition:
         """Compute an assignment for ``ctx`` (pinned components respected)."""
@@ -366,6 +371,7 @@ class ExhaustivePartitioner(Partitioner):
     """
 
     name = "exhaustive"
+    stateless = True
 
     def __init__(self, use_makespan: bool = False, max_offloadable: int = 18) -> None:
         self.use_makespan = use_makespan
@@ -409,6 +415,7 @@ class GreedyPartitioner(Partitioner):
     """
 
     name = "greedy"
+    stateless = True
 
     def __init__(self, max_iterations: int = 10_000) -> None:
         self.max_iterations = max_iterations
@@ -512,6 +519,7 @@ class MinCutPartitioner(Partitioner):
     """
 
     name = "mincut"
+    stateless = True
 
     #: Integer scale target: the largest finite capacity maps to ~1e14.
     _SCALE_TARGET = 1e14
@@ -570,6 +578,7 @@ class TreeDPPartitioner(Partitioner):
     """
 
     name = "treedp"
+    stateless = True
 
     def partition(self, ctx: PartitionContext) -> Partition:
         if not ctx.app.is_tree():
@@ -718,6 +727,7 @@ class FixedPartitioner(Partitioner):
     """Returns a predetermined partition (used for baselines and canaries)."""
 
     name = "fixed"
+    stateless = True
 
     def __init__(self, partition: Partition) -> None:
         self._partition = partition

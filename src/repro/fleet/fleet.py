@@ -18,6 +18,7 @@ from typing import (
 
 from repro.apps.graph import AppGraph
 from repro.apps.jobs import Job
+from repro.core.allocation import MemoryAllocator
 from repro.core.controller import (
     ControllerReport,
     Environment,
@@ -25,7 +26,11 @@ from repro.core.controller import (
     OffloadController,
 )
 from repro.core.demand import DemandModel, RegressionEstimator
-from repro.core.partitioning import ObjectiveWeights, Partitioner
+from repro.core.partitioning import (
+    MinCutPartitioner,
+    ObjectiveWeights,
+    Partitioner,
+)
 from repro.core.scheduler import Scheduler
 from repro.device.ue import DeviceSpec, UserEquipment
 from repro.metrics import MetricRegistry
@@ -187,12 +192,18 @@ class FleetReport:
 
 
 class FleetController:
-    """One offloading controller per device, sharing functions and demand.
+    """One offloading controller per device, sharing functions, demand and plans.
 
     All devices run the *same* application, so they share one demand
-    model (fleet-wide learning) and one set of deployed functions (the
-    warm pools are communal — the fleet's key economy).  Each device
-    still plans against its own connectivity.
+    model (fleet-wide learning), one partitioner and one memory
+    allocator, and one set of deployed functions (the warm pools are
+    communal — the fleet's key economy).  Each device still plans
+    against its own connectivity, but devices whose planning inputs are
+    equal share one result: the fleet holds a plan memo keyed by those
+    exact inputs (see :meth:`OffloadController.plan`), so a zone of
+    same-preset devices runs the min-cuts and the memory scan once.
+    The memo lives as long as the fleet.  A partitioner that draws
+    random numbers (``stateless = False``) plans every call.
     """
 
     def __init__(
@@ -208,28 +219,36 @@ class FleetController:
         self.env = env
         self.app = app
         self.demand = demand_model or DemandModel(app, RegressionEstimator)
+        self.partitioner = partitioner or MinCutPartitioner()
+        self.allocator = MemoryAllocator(billing=env.platform.config.billing)
+        self._plan_memo: Dict[tuple, Any] = {}
         self.controllers: List[OffloadController] = []
         for device_env in env.devices:
-            self.controllers.append(
-                OffloadController(
-                    env=device_env,
-                    app=app,
-                    partitioner=partitioner,
-                    scheduler=scheduler_factory() if scheduler_factory else None,
-                    demand_model=self.demand,
-                    weights=weights,
-                    latency_slo_s=latency_slo_s,
-                )
+            controller = OffloadController(
+                env=device_env,
+                app=app,
+                partitioner=self.partitioner,
+                allocator=self.allocator,
+                scheduler=scheduler_factory() if scheduler_factory else None,
+                demand_model=self.demand,
+                weights=weights,
+                latency_slo_s=latency_slo_s,
             )
+            controller._plan_memo = self._plan_memo
+            self.controllers.append(controller)
 
     def profile_offline(self, **kwargs) -> None:
         """Train the shared demand model once (CI profiles once per app)."""
         self.controllers[0].profile_offline(**kwargs)
 
     def plan(self, input_mb: float = 1.0) -> None:
-        """Plan every device; functions are shared, so later plans reuse
-        the deployments of earlier ones unless connectivity changes the
-        allocation."""
+        """Plan every device, computing each distinct planning input once.
+
+        A device whose planning inputs equal an earlier device's reuses
+        that partition and allocation from the fleet's memo.  Functions
+        are shared too, so later plans reuse the deployments of earlier
+        ones unless connectivity changes the allocation.
+        """
         for controller in self.controllers:
             controller.plan(input_mb)
 

@@ -1,12 +1,21 @@
 """Tests for the multi-device fleet layer."""
 
-import pytest
+import math
 
-from repro import Job, photo_backup_app
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import Job, OffloadController, photo_backup_app
 from repro.apps import nightly_analytics_app
+from repro.core.demand import DemandModel, RegressionEstimator
+from repro.core.partitioning import MinCutPartitioner, SimulatedAnnealingPartitioner
 from repro.core.scheduler import DeadlineBatcher
 from repro.fleet import FleetController, FleetEnvironment
+from repro.profiling.profiler import DemandObservation
 from repro.serverless.platform import PlatformConfig
+from repro.sim.rng import RngStream
+from repro.telemetry.tracer import attach_tracer
 
 
 def make_fleet(n=4, seed=1, connectivity="4g", app=None, **controller_kwargs):
@@ -271,3 +280,246 @@ class TestFleetEconomics:
         sparse = cold_fraction(6)
         dense = cold_fraction(72)
         assert dense < sparse
+
+
+class _CountingMinCut(MinCutPartitioner):
+    """Min-cut that counts its calls (stateless, like its parent)."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def partition(self, ctx):
+        self.calls += 1
+        return super().partition(ctx)
+
+
+def _planning_world(app_factory, n, seed, connectivity):
+    """A fresh fleet environment with a tracer and a deploy log."""
+    env = FleetEnvironment.build(n_devices=n, seed=seed, connectivity=connectivity)
+    tracer = attach_tracer(env)
+    deploys = []
+    platform_deploy = env.platform.deploy
+
+    def logged_deploy(spec):
+        deploys.append(spec)
+        platform_deploy(spec)
+
+    env.platform.deploy = logged_deploy
+    return env, app_factory(), tracer, deploys
+
+
+def _planning_state(env, controllers, tracer, deploys):
+    """Everything a plan leaves behind, per device and fleet-wide."""
+    return {
+        "devices": [
+            (
+                c.partition,
+                c.allocation,
+                c._last_rates,
+                c.planned_input_mb,
+            )
+            for c in controllers
+        ],
+        "deploys": deploys,
+        "deployed": [
+            env.platform.spec(name)
+            for name in env.platform.deployed_functions()
+        ],
+        "spans": [
+            (s.span_id, s.parent_id, s.name, s.category, s.start, s.end,
+             s.attributes)
+            for s in tracer.spans
+        ],
+        "plans_computed": env.sim.meter.plans_computed,
+    }
+
+
+def _plan_all(controllers, input_mb, overrides):
+    for index, controller in enumerate(controllers):
+        if index in overrides:
+            controller.plan_rate_overrides = dict(overrides[index])
+        controller.plan(input_mb)
+
+
+_PRESETS = ["3g", "4g", "5g", "wifi"]
+
+
+class TestPlanMemo:
+    """Fleet plan reuse: a memo hit leaves exactly what planning leaves."""
+
+    @given(
+        app_factory=st.sampled_from([photo_backup_app, nightly_analytics_app]),
+        n=st.integers(1, 6),
+        seed=st.integers(0, 3),
+        connectivity=st.one_of(
+            st.sampled_from(_PRESETS),
+            st.lists(st.sampled_from(_PRESETS), min_size=2, max_size=3),
+        ),
+        latency_slo_s=st.sampled_from([math.inf, 600.0, 120.0]),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from([0.5, 1.0, 3.0, 10.0]),
+                st.sampled_from([None, 0.2, 4.0]),
+                st.dictionaries(
+                    st.integers(0, 5),
+                    st.dictionaries(
+                        st.sampled_from(["uplink", "downlink"]),
+                        st.sampled_from([2.5e5, 1.25e6, 5e6]),
+                        min_size=1,
+                    ),
+                    max_size=3,
+                ),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fleet_plans_equal_independent_plans(
+        self, app_factory, n, seed, connectivity, latency_slo_s, steps
+    ):
+        env, app, tracer, deploys = _planning_world(
+            app_factory, n, seed, connectivity
+        )
+        fleet = FleetController(env, app, latency_slo_s=latency_slo_s)
+        fleet.profile_offline()
+
+        ref_env, ref_app, ref_tracer, ref_deploys = _planning_world(
+            app_factory, n, seed, connectivity
+        )
+        # Independent controllers: own planners, no memo; the demand
+        # model is shared and trained once, as a fleet does.
+        demand = DemandModel(ref_app, RegressionEstimator)
+        reference = [
+            OffloadController(
+                env=device_env,
+                app=ref_app,
+                demand_model=demand,
+                latency_slo_s=latency_slo_s,
+            )
+            for device_env in ref_env.devices
+        ]
+        reference[0].profile_offline()
+
+        for input_mb, surprise, overrides in steps:
+            if surprise is not None:
+                # Shift the shared demand estimates between plans.
+                for model in (fleet.demand, demand):
+                    for name in app.component_names:
+                        model.observe(DemandObservation(
+                            name, input_mb,
+                            model.predict(name, input_mb) * surprise,
+                        ))
+            outcomes = []
+            for controllers in (fleet.controllers, reference):
+                try:
+                    _plan_all(controllers, input_mb, overrides)
+                    outcomes.append(None)
+                except ValueError as error:
+                    outcomes.append(str(error))
+            assert outcomes[0] == outcomes[1]
+            if outcomes[0] is not None:
+                return
+        assert _planning_state(
+            env, fleet.controllers, tracer, deploys
+        ) == _planning_state(
+            ref_env, reference, ref_tracer, ref_deploys
+        )
+
+    def test_key_covers_every_context_field(self):
+        """Changing any one planning input changes the plan key."""
+        from dataclasses import fields, replace
+
+        from repro.core.partitioning import ObjectiveWeights
+        from repro.device.energy import EnergyModel
+        from repro.serverless.billing import BillingModel
+
+        _env, fleet = make_fleet(n=1)
+        controller = fleet.controllers[0]
+        context = controller.build_context(3.0)
+        other_app = photo_backup_app()
+        changed = {
+            "app": other_app,
+            "input_mb": 4.0,
+            "work": {name: 2.0 * w for name, w in context.work.items()},
+            "ue_cycles_per_second": 2.0e9,
+            "energy": EnergyModel(compute_w=9.0),
+            "billing": BillingModel(price_per_request=1e-6),
+            "memory_plan": {**context.memory_plan, "extra": 128.0},
+            "default_memory_mb": 1024.0,
+            "uplink_bps": context.uplink_bps * 2,
+            "uplink_latency_s": 0.5,
+            "downlink_bps": context.downlink_bps * 2,
+            "downlink_latency_s": 0.5,
+            "include_idle_energy": not context.include_idle_energy,
+            "egress_price_per_gb": 0.09,
+            "weights": ObjectiveWeights.interactive(),
+        }
+        assert set(changed) == {f.name for f in fields(context)}
+        key = controller._plan_key(context)
+        for name, value in changed.items():
+            assert controller._plan_key(replace(context, **{name: value})) != key, name
+        controller.latency_slo_s = 60.0
+        assert controller._plan_key(context) != key
+
+    def test_uniform_zone_partitions_twice(self):
+        """Sixteen same-preset devices: one miss (two min-cuts), fifteen
+        hits; without the memo this would be 32 calls."""
+        env = FleetEnvironment.build(n_devices=16, seed=0, connectivity="4g")
+        partitioner = _CountingMinCut()
+        fleet = FleetController(env, photo_backup_app(), partitioner=partitioner)
+        fleet.profile_offline()
+        fleet.plan(input_mb=3.0)
+        assert partitioner.calls == 2
+        assert env.sim.meter.plans_computed == 16
+        # A mixed zone plans once per distinct preset.
+        env = FleetEnvironment.build(
+            n_devices=16, seed=0, connectivity=["4g", "3g"]
+        )
+        partitioner = _CountingMinCut()
+        fleet = FleetController(env, photo_backup_app(), partitioner=partitioner)
+        fleet.profile_offline()
+        fleet.plan(input_mb=3.0)
+        assert partitioner.calls == 4
+
+    def test_controllers_share_planners_and_allocations_are_copies(self):
+        _env, fleet = make_fleet(n=3)
+        first, second, third = fleet.controllers
+        assert first.partitioner is second.partitioner is fleet.partitioner
+        assert first.allocator is third.allocator is fleet.allocator
+        assert first.allocation == second.allocation
+        assert first.allocation is not second.allocation
+        first.allocation.clear()
+        assert second.allocation and third.allocation
+
+    def test_a_standalone_controller_plans_every_call(self):
+        from repro import Environment
+
+        partitioner = _CountingMinCut()
+        controller = OffloadController(
+            Environment.build(seed=0), photo_backup_app(),
+            partitioner=partitioner,
+        )
+        controller.plan(3.0)
+        controller.plan(3.0)
+        assert partitioner.calls == 4
+
+    def test_annealing_is_never_memoised(self):
+        """An RNG-drawing partitioner plans every device: same partitions
+        and the same stream position as independent controllers."""
+
+        def run(memo):
+            env = FleetEnvironment.build(n_devices=4, seed=2, connectivity="4g")
+            stream = RngStream(7)
+            annealer = SimulatedAnnealingPartitioner(stream, iterations=50)
+            fleet = FleetController(env, photo_backup_app(), partitioner=annealer)
+            if not memo:
+                for controller in fleet.controllers:
+                    controller._plan_memo = None
+            fleet.profile_offline()
+            fleet.plan(input_mb=3.0)
+            fleet.plan(input_mb=3.0)
+            partitions = [c.partition for c in fleet.controllers]
+            return partitions, stream.integer(0, 2**30)
+
+        assert run(memo=True) == run(memo=False)

@@ -2,7 +2,6 @@
 
 import math
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -253,17 +252,42 @@ def _flow_networks(draw):
     return edges
 
 
+def _brute_force_sink_side(edges, source, sink):
+    """Minimal sink side of a minimum cut, by enumerating every cut.
+
+    With ``source`` and ``sink`` fixed, each subset of the inner nodes is
+    one cut (at most 2^12 here).  Minimum cuts are closed under
+    intersection, so the intersection of all minimum sink sides is
+    itself a minimum sink side, and the smallest one.
+    """
+    capacity = {}
+    for u, v, cap in edges:
+        capacity[(u, v)] = cap  # a repeated pair overwrites
+    inner = sorted({n for u, v, _cap in edges for n in (u, v)} - {source, sink})
+    best_value, minimal = None, None
+    for mask in range(1 << len(inner)):
+        side = {sink} | {n for i, n in enumerate(inner) if mask >> i & 1}
+        value = sum(
+            cap
+            for (u, v), cap in capacity.items()
+            if u not in side and v in side
+        )
+        if best_value is None or value < best_value:
+            best_value, minimal = value, side
+        elif value == best_value:
+            minimal = minimal & side
+    return minimal
+
+
 class TestIntegerMinCut:
-    """The in-house max-flow against networkx as the oracle."""
+    """The in-house max-flow against brute-force cut enumeration."""
 
     @given(_flow_networks())
     @settings(max_examples=60, deadline=None)
-    def test_sink_side_matches_networkx(self, edges):
-        graph = nx.DiGraph()
-        for u, v, capacity in edges:
-            graph.add_edge(u, v, capacity=capacity)
-        _value, (_source_side, sink_side) = nx.minimum_cut(graph, "s", "t")
-        assert _min_cut_sink_side(edges, "s", "t") == set(sink_side)
+    def test_sink_side_matches_enumeration(self, edges):
+        assert _min_cut_sink_side(edges, "s", "t") == _brute_force_sink_side(
+            edges, "s", "t"
+        )
 
     def test_ties_resolve_to_the_source_side(self):
         # a costs 5 on either side and stays local; b is cheaper remote.
